@@ -1,6 +1,7 @@
 //! Process-wide counters for the hybrid representation's fast path.
 //!
-//! The rational hot path (simplex pivots, Fourier–Motzkin combinations) is
+//! Rational field operations (Fourier–Motzkin combinations) and the integer
+//! kernel ops of the fraction-free simplex (exact division, gcd) are each
 //! instrumented with two relaxed atomic counters — compiled unconditionally,
 //! **not** gated behind `debug_assertions` — so release binaries can report
 //! how often the machine-word fast path fired versus falling back to the

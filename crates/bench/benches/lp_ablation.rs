@@ -1,5 +1,6 @@
 //! E7 — ablation of the feasibility engine behind Theorem 4.1/4.2:
-//! exact phase-1 simplex vs Fourier–Motzkin elimination.
+//! the exact fraction-free phase-1 simplex vs Fourier–Motzkin elimination
+//! (the differential oracle).
 //!
 //! Both engines decide the same strict homogeneous systems (and are
 //! cross-checked to agree); the sweep over dimension and row count shows
@@ -123,13 +124,13 @@ fn bench_mpi_derived_systems(c: &mut Criterion) {
 /// hundreds of milliseconds to seconds per batch — large enough that the
 /// arithmetic substrate (small-int fast paths, sparse rows) dominates the
 /// measurement instead of harness noise. Fourier–Motzkin is excluded here:
-/// its doubly-exponential blow-up makes these sizes intractable for it.
-/// This sub-sweep tops out at 12×36 — the last size where rational pivot
-/// values still fit machine words; `bench_past_the_cliff` below takes over
-/// from there on the fraction-free route.
+/// its doubly-exponential blow-up makes these sizes intractable for it. The
+/// sweep runs past ~16 unknowns × 48 rows, where pivot values outgrow
+/// machine words for good: the fraction-free kernel's one exact gcd
+/// division per row per pivot is what keeps those sizes benchable.
 fn bench_simplex_scale(c: &mut Criterion) {
     let mut group = c.benchmark_group("E7/simplex_scale");
-    for dimension in [8usize, 12] {
+    for dimension in [8usize, 12, 16, 24] {
         let rows = 3 * dimension;
         let mut rng = bench_rng();
         let systems: Vec<_> = (0..4).map(|_| random_system(dimension, rows, &mut rng)).collect();
@@ -147,7 +148,7 @@ fn bench_simplex_scale(c: &mut Criterion) {
     }
     // MPI-derived growth: exactly the strict systems Theorem 4.1 produces,
     // at sizes where compiled probe batches spend their time today.
-    for unknowns in [10usize, 14] {
+    for unknowns in [10usize, 14, 18] {
         let terms = 4 * unknowns;
         let mut rng = bench_rng();
         let systems: Vec<_> =
@@ -167,79 +168,6 @@ fn bench_simplex_scale(c: &mut Criterion) {
     group.finish();
 }
 
-/// Past the machine-word cliff. Up to PR 4 the sweep was capped at 12×36:
-/// from ~16 unknowns × 48 rows the rational pivot values outgrow machine
-/// words for good, and the per-entry gcd reductions of the rational simplex
-/// dominate the run. The fraction-free (Bareiss) kernel replaces them with
-/// one exact gcd division per row per pivot, which is what makes these
-/// sizes — 16×48 through 24×72, and MPI-derived systems to 18 unknowns —
-/// benchable at all. At the cliff itself (16×48) both routes run, so the
-/// crossover is measured rather than asserted; beyond it the sweep is
-/// fraction-free only. Cross-route verdict identity is asserted on every
-/// instance benched here.
-fn bench_past_the_cliff(c: &mut Criterion) {
-    let mut group = c.benchmark_group("E7/past_the_cliff");
-    for dimension in [16usize, 20, 24] {
-        let rows = 3 * dimension;
-        let mut rng = bench_rng();
-        let systems: Vec<_> = (0..2).map(|_| random_system(dimension, rows, &mut rng)).collect();
-        for sys in &systems {
-            assert_eq!(
-                sys.is_feasible(FeasibilityEngine::Bareiss).unwrap(),
-                sys.is_feasible(FeasibilityEngine::Simplex).unwrap(),
-                "routes must agree at {dimension}x{rows}"
-            );
-        }
-        // Both routes at the old cap so the crossover is visible; the
-        // rational route is dropped beyond it (it still finishes, but its
-        // limb arithmetic is exactly the cost this sweep exists to remove).
-        let engines: &[FeasibilityEngine] = if dimension <= 16 {
-            &[FeasibilityEngine::Bareiss, FeasibilityEngine::Simplex]
-        } else {
-            &[FeasibilityEngine::Bareiss]
-        };
-        for &engine in engines {
-            group.bench_with_input(
-                BenchmarkId::new(format!("{engine:?}"), format!("{dimension}x{rows}")),
-                &systems,
-                |b, systems| {
-                    b.iter(|| {
-                        for sys in systems {
-                            black_box(sys.is_feasible(engine).unwrap());
-                        }
-                    });
-                },
-            );
-        }
-    }
-    // MPI-derived systems past the previous 14-unknown cap.
-    for unknowns in [18usize] {
-        let terms = 4 * unknowns;
-        let mut rng = bench_rng();
-        let systems: Vec<_> =
-            (0..2).map(|_| random_mpi(unknowns, terms, 6, &mut rng).to_strict_system()).collect();
-        for sys in &systems {
-            assert_eq!(
-                sys.is_feasible(FeasibilityEngine::Bareiss).unwrap(),
-                sys.is_feasible(FeasibilityEngine::Simplex).unwrap(),
-                "routes must agree on the {unknowns}-unknown MPI systems"
-            );
-        }
-        group.bench_with_input(
-            BenchmarkId::new("Bareiss/mpi", unknowns),
-            &systems,
-            |b, systems| {
-                b.iter(|| {
-                    for sys in systems {
-                        black_box(sys.is_feasible(FeasibilityEngine::Bareiss).unwrap());
-                    }
-                });
-            },
-        );
-    }
-    group.finish();
-}
-
 fn config() -> Criterion {
     Criterion::default()
         .sample_size(10)
@@ -251,6 +179,6 @@ criterion_group! {
     name = benches;
     config = config();
     targets = bench_dimension_sweep, bench_row_sweep, bench_mpi_derived_systems,
-        bench_simplex_scale, bench_past_the_cliff
+        bench_simplex_scale
 }
 criterion_main!(benches);

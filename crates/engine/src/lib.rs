@@ -225,9 +225,9 @@ mod tests {
 
     #[test]
     fn fraction_free_lp_route_is_verdict_identical_through_the_pool() {
-        // The Bareiss and Auto engines must be indistinguishable from the
-        // rational simplex through the probe-parallel pool: same verdicts,
-        // same certificates, for every thread count.
+        // The fraction-free simplex must reach the Fourier–Motzkin oracle's
+        // verdict through the probe-parallel pool, with a certificate that
+        // verifies and is identical for every thread count.
         use dioph_cq::paper_examples;
         let cases = [
             (paper_examples::section3_query_q1(), paper_examples::section3_query_q2()),
@@ -235,24 +235,25 @@ mod tests {
             (q("q(x) <- R^2(x, x)"), q("p(x) <- R(x, y), R(y, x)")),
         ];
         for (containee, containing) in cases {
-            let reference = DecisionEngine::new(EngineConfig {
-                jobs: 1,
-                algorithm: Algorithm::AllProbes,
-                engine: FeasibilityEngine::Simplex,
-            })
-            .decide(&containee, &containing)
-            .unwrap();
+            let oracle = BagContainmentDecider::new(Algorithm::AllProbes)
+                .with_engine(FeasibilityEngine::FourierMotzkin)
+                .decide(&containee, &containing)
+                .unwrap();
+            let mut certificates = Vec::new();
             for jobs in [1usize, 2, 4] {
-                for lp in [FeasibilityEngine::Bareiss, FeasibilityEngine::Auto] {
-                    let engine = DecisionEngine::new(EngineConfig {
-                        jobs,
-                        algorithm: Algorithm::AllProbes,
-                        engine: lp,
-                    });
-                    let routed = engine.decide(&containee, &containing).unwrap();
-                    assert_eq!(routed.to_json(), reference.to_json(), "jobs={jobs} {lp:?}");
+                let engine = DecisionEngine::new(EngineConfig {
+                    jobs,
+                    algorithm: Algorithm::AllProbes,
+                    engine: FeasibilityEngine::Simplex,
+                });
+                let routed = engine.decide(&containee, &containing).unwrap();
+                assert_eq!(routed.holds(), oracle.holds(), "jobs={jobs}");
+                if let Some(ce) = routed.counterexample() {
+                    assert!(ce.verify(&containee, &containing), "jobs={jobs}");
                 }
+                certificates.push(routed.to_json());
             }
+            assert!(certificates.windows(2).all(|w| w[0] == w[1]), "{certificates:?}");
         }
     }
 

@@ -464,16 +464,29 @@ pub(crate) fn decide_pair_parallel(
     pair: &CompiledPair,
     jobs: usize,
 ) -> Result<BagContainment, ContainmentError> {
-    // Never spawn more workers than there are claimable units: `--jobs 8`
-    // on a 3-probe pair gets 3 threads, not 8 (5 of which could only idle).
-    let workers = jobs.min(pair.probe_units()).max(1);
-    let scheduler = Scheduler::new("probe", workers, 1);
+    decide_on(&probe_scheduler(pair, jobs), decider, pair)
+}
+
+/// The single-pair scheduler for `pair` at `jobs`. Never spawn more workers
+/// than there are claimable units: `--jobs 8` on a 3-probe pair gets 3
+/// threads, not 8 (5 of which could only idle).
+fn probe_scheduler<'a>(pair: &CompiledPair, jobs: usize) -> Scheduler<'a> {
+    Scheduler::new("probe", jobs.min(pair.probe_units()).max(1), 1)
+}
+
+/// Admits `pair` as the only task of a fresh `scheduler` and runs one worker
+/// thread per scheduler slot until its verdict is finalized.
+fn decide_on<'a>(
+    scheduler: &Scheduler<'a>,
+    decider: &BagContainmentDecider,
+    pair: &'a CompiledPair,
+) -> Result<BagContainment, ContainmentError> {
     scheduler.admit(0, PairRef::Borrowed(pair), UnitKind::ProbeSpace);
     scheduler.close();
     let slot: Mutex<Option<Result<BagContainment, ContainmentError>>> = Mutex::new(None);
     std::thread::scope(|s| {
-        for worker in 0..workers {
-            let (scheduler, slot) = (&scheduler, &slot);
+        for worker in 0..scheduler.workers {
+            let slot = &slot;
             s.spawn(move || {
                 scheduler.run_worker(worker, decider, &|_seq, result| {
                     *slot.lock().expect("probe workers never panic") = Some(result);
@@ -525,35 +538,39 @@ mod tests {
         }
     }
 
+    /// Per-run claim tallies of a single-pair run (one entry per spawned
+    /// worker). The tests read these instead of the process-global pool
+    /// table and counters, which every concurrently running test also feeds.
+    fn run_claims(pair: &CompiledPair, jobs: usize) -> Vec<u64> {
+        let scheduler = probe_scheduler(pair, jobs);
+        let decider = BagContainmentDecider::new(Algorithm::AllProbes);
+        decide_on(&scheduler, &decider, pair).unwrap();
+        let claims = scheduler.state.lock().unwrap().claims.clone();
+        claims
+    }
+
     #[test]
     fn workers_are_capped_at_the_unit_count() {
-        // A pair with a 4-unit probe space run at jobs=64 must record stats
-        // for at most 4 workers (the cap is what keeps thread spawns
-        // bounded by available work).
+        // A pair with a 1-unit probe space run at jobs=64 must spawn at most
+        // one worker per unit (the cap is what keeps thread spawns bounded
+        // by available work).
         let q = parse_query("q(x) <- R(x, x), S(x)").unwrap();
         let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
         let units = pair.probe_units();
         assert!(units < 64, "the example must be smaller than the job count");
-        let decider = BagContainmentDecider::new(Algorithm::AllProbes);
-        dioph_obs::pool::reset();
-        decide_pair_parallel(&decider, &pair, 64).unwrap();
-        let workers: Vec<_> =
-            dioph_obs::pool::snapshot().into_iter().filter(|w| w.pool == "probe").collect();
-        assert!(!workers.is_empty());
-        assert!(workers.len() <= units, "{} workers for {units} units", workers.len());
+        let claims = run_claims(&pair, 64);
+        assert!(!claims.is_empty());
+        assert!(claims.len() <= units, "{} workers for {units} units", claims.len());
     }
 
     #[test]
     fn every_admitted_unit_is_claimed_exactly_once() {
-        // Unit claims across a mixed stream must add up to the admitted
-        // probe spaces — no unit is lost or double-claimed, even with many
-        // workers racing tiny chunks.
+        // Unit claims must add up to the admitted probe space — no unit is
+        // lost or double-claimed, even with many workers racing tiny chunks.
         let q = parse_query("q(x1, x2) <- R(x1, x2), R('c1', x2), R^3(x1, 'c2')").unwrap();
         let pair = CompiledPair::new(q.clone(), q.clone()).unwrap();
-        let decider = BagContainmentDecider::new(Algorithm::AllProbes);
-        let before = dioph_obs::registry::snapshot();
-        decide_pair_parallel(&decider, &pair, 8).unwrap();
-        let delta = dioph_obs::registry::snapshot().since(&before);
-        assert_eq!(delta.get("engine.units_claimed"), Some(pair.probe_units() as u64));
+        let claims = run_claims(&pair, 8);
+        assert_eq!(claims.len(), 8, "the example must keep all eight workers");
+        assert_eq!(claims.iter().sum::<u64>(), pair.probe_units() as u64);
     }
 }

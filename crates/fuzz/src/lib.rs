@@ -4,7 +4,7 @@
 //! fixtures generated from the decider itself. This crate closes the loop
 //! with an *independent* refutation harness: seeded random query pairs in
 //! the paper fragment are decided by the MPI/LP route (through the
-//! `dioph-engine` probe pool, so `--jobs` and `--lp-route` are exercised)
+//! `dioph-engine` probe pool, so `--jobs` is exercised)
 //! and the verdicts are cross-checked three ways:
 //!
 //! 1. **Bounded bag-database ground truth** — a `Contained` verdict must
@@ -26,8 +26,8 @@
 //! body atoms, decrementing multiplicities and dropping database facts while
 //! the disagreement persists) and reported with a machine-checkable witness.
 //! The whole run is deterministic in the seed — and, by construction, the
-//! report is byte-identical across LP routes and thread counts, which is
-//! itself one of the properties under test.
+//! report is byte-identical across thread counts, which is itself one of
+//! the properties under test.
 //!
 //! ```
 //! use dioph_fuzz::{run_fuzz, FuzzConfig};
@@ -48,12 +48,10 @@ pub use generate::{generate_case, FuzzCase};
 pub use oracle::{check_pair, derive_seed, CaseOutcome, Disagreement, DisagreementKind, Injection};
 pub use report::{run_fuzz, run_replay, CaseReport, FuzzReport};
 
-use dioph_containment::FeasibilityEngine;
-
 /// Configuration of a fuzzing run. Everything that influences generated
 /// cases or the brute-force sweep is part of the seed-stable report header;
-/// `jobs`, `engine` and `injection` deliberately are **not** — verdicts must
-/// be identical across them, so the report must be too.
+/// `jobs` and `injection` deliberately are **not** — verdicts must be
+/// identical across thread counts, so the report must be too.
 #[derive(Clone, Copy, Debug)]
 pub struct FuzzConfig {
     /// Master seed; every case derives its own RNG stream from it.
@@ -73,8 +71,6 @@ pub struct FuzzConfig {
     pub enumeration_cap: u128,
     /// Worker threads for the probe pool deciding each case.
     pub jobs: usize,
-    /// LP feasibility engine behind the decider.
-    pub engine: FeasibilityEngine,
     /// Deliberate decider corruption for self-tests: proves the oracle
     /// catches (and minimises) an injected bug.
     pub injection: Option<Injection>,
@@ -90,7 +86,6 @@ impl Default for FuzzConfig {
             samples: 32,
             enumeration_cap: 512,
             jobs: 1,
-            engine: FeasibilityEngine::default(),
             injection: None,
         }
     }

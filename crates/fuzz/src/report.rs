@@ -1,10 +1,9 @@
 //! Fuzzing run drivers and the byte-stable report.
 //!
 //! The JSON envelope deliberately records only seed-determined data — no
-//! timings, no thread counts, and the engine *family* rather than the LP
-//! route — so `fuzz --json` output is byte-identical across `--jobs` and
-//! `--lp-route` values. That invariance is pinned by a golden fixture and is
-//! itself one of the correctness claims under test.
+//! timings and no thread counts — so `fuzz --json` output is byte-identical
+//! across `--jobs` values. That invariance is pinned by a golden fixture and
+//! is itself one of the correctness claims under test.
 
 use dioph_analyze::FragmentClass;
 use dioph_containment::{json, BagContainment, ContainmentError};
@@ -204,7 +203,7 @@ fn run_cases(
     for (index, (label, containee, containing)) in cases.into_iter().enumerate() {
         // The database-sampling stream is derived from the seed and case
         // index only, never from the engine configuration — a prerequisite
-        // for reports being identical across `--jobs` and `--lp-route`.
+        // for reports being identical across `--jobs`.
         let db_seed = derive_seed(derive_seed(config.seed, index as u64), u64::MAX);
         let outcome = check_pair(&containee, &containing, config, db_seed);
         if let Some(d) = outcome.disagreement {
@@ -279,14 +278,11 @@ mod tests {
     }
 
     #[test]
-    fn reports_are_byte_identical_across_jobs_and_routes() {
-        use dioph_containment::FeasibilityEngine;
+    fn reports_are_byte_identical_across_jobs() {
         let reference = run_fuzz(&small()).to_json();
         for jobs in [2usize, 4] {
-            for engine in [FeasibilityEngine::Bareiss, FeasibilityEngine::Auto] {
-                let cfg = FuzzConfig { jobs, engine, ..small() };
-                assert_eq!(run_fuzz(&cfg).to_json(), reference, "jobs={jobs} engine={engine:?}");
-            }
+            let cfg = FuzzConfig { jobs, ..small() };
+            assert_eq!(run_fuzz(&cfg).to_json(), reference, "jobs={jobs}");
         }
     }
 

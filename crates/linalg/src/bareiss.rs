@@ -1,57 +1,90 @@
-//! Fraction-free (Bareiss/Edmonds-style) phase-1 simplex over integer rows.
+//! The exact LP kernel: a fraction-free (Bareiss/Edmonds-style) phase-1
+//! simplex over integer rows.
 //!
-//! The exact rational simplex of [`crate::simplex`] reduces every tableau
-//! entry to lowest terms after every arithmetic operation — one gcd **per
-//! entry per pivot**. Past ~16 unknowns × 48 rows the pivot values outgrow
-//! machine words for good and those per-entry reductions dominate the run
-//! (the `lp_ablation` sweep was capped exactly there). This module keeps the
-//! whole tableau in integers instead:
+//! It decides whether the polyhedron
+//!
+//! ```text
+//!     { x ∈ ℚⁿ  :  A·x ≥ b,  x ≥ 0 }
+//! ```
+//!
+//! is non-empty and, if so, returns a rational point inside it — the
+//! engine behind Theorem 4.2 of the paper (polynomial-time decidability of
+//! the Diophantine-solution problem for MPIs). Bland's rule guarantees
+//! termination (no cycling). Strict inequalities are handled one level up,
+//! by [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem), via the
+//! homogeneity of the systems produced by the paper's reduction:
+//! `A·x > 0, x ≥ 0` is rationally feasible iff `A·x ≥ 1, x ≥ 0` is.
+//!
+//! A textbook rational tableau reduces every entry to lowest terms after
+//! every arithmetic operation — one gcd **per entry per pivot**, which
+//! dominates the run once pivot values outgrow machine words. This kernel
+//! keeps the whole tableau in integers instead:
 //!
 //! * each row `i` stores integer coefficients plus one positive denominator
 //!   `d_i`, representing the rational row `r_i / d_i`;
 //! * a pivot on `(leave, enter)` with stored pivot `L` updates every other
 //!   row by the two-term cross-multiplication `r_i ← L·r_i − r_i[enter]·r_l`
-//!   (the Bareiss step), with a **single** exact division per row — the row
-//!   is reduced by the gcd of its entries, rhs and denominator, via
-//!   [`Integer::checked_exact_div`];
+//!   (the Bareiss step, [`IntRow::eliminate_fraction_free`]), with a
+//!   **single** exact division per row — the row is reduced by the gcd of
+//!   its entries, rhs and denominator, via [`Integer::checked_exact_div`];
 //! * the strict Bareiss variant divides by the previous pivot instead, but
 //!   it needs a denominator shared by *all* rows, which forces every row —
 //!   including the untouched ones — to be rescaled on every pivot. On the
 //!   sparse tableaus of Theorem 4.1 that throws away the zero-skipping the
 //!   row representation exists for, so this kernel uses the gcd-normalised
 //!   per-row form: rows whose pivot-column entry is zero are skipped
-//!   entirely, exactly like the rational route, and the per-row gcd bounds
-//!   coefficient growth at least as tightly as the previous-pivot division.
+//!   entirely, and the per-row gcd bounds coefficient growth at least as
+//!   tightly as the previous-pivot division.
 //!
 //! Every decision the simplex takes — Bland's entering column (sign of a
 //! reduced cost), the ratio test (comparison of `rhs_i/coeff_i` across
 //! rows), tie-breaking, termination — is invariant under scaling a row by a
-//! positive constant, so this kernel takes **bit-identical pivot sequences**
-//! to [`crate::simplex::feasible_point_rows`] on the same input and returns
-//! the same [`SimplexOutcome`], witness included (witness components are
-//! read off as canonical [`Rational`]s). The differential proptests and the
-//! `tests/golden/` fixtures pin that identity.
-//!
-//! The entry point also performs a ratio-test-free infeasibility prune: a
-//! row whose coefficients are all `≤ 0` against a positive right-hand side
-//! can never be satisfied by `x ≥ 0`, so such systems are rejected before
-//! any tableau is built (the rational route reaches the same verdict the
-//! long way around).
+//! positive constant, so the pivot sequence is exactly that of the rational
+//! tableau on the same input, and witness components are read off as
+//! canonical [`Rational`]s. The Fourier–Motzkin differential proptests pin
+//! the verdicts, and the `tests/golden/` fixtures pin the witnesses. The
+//! kernel deliberately has no shortcut around the tableau (such as
+//! rejecting a row with no positive coefficient up front), so the
+//! `lp.bareiss.pivots` counter stays a pure function of the pivot sequence.
 
 use dioph_arith::{Integer, Natural, Rational};
 
 use crate::error::{iteration_budget, LinalgError};
-use crate::row::{merge_sparse, sparse_is_worth_it, GenRow, IntRow};
-use crate::scratch::{auto_pooled, KernelScratch};
-use crate::simplex::SimplexOutcome;
+use crate::row::{GenRow, IntRow};
+use crate::scratch::{auto_pooled, LpScratch};
+
+/// Result of a phase-1 simplex run.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum SimplexOutcome {
+    /// A feasible point `x ≥ 0` with `A·x ≥ b` was found.
+    Feasible(Vec<Rational>),
+    /// The polyhedron is empty.
+    Infeasible,
+}
+
+impl SimplexOutcome {
+    /// Returns the witness if feasible.
+    pub fn witness(&self) -> Option<&[Rational]> {
+        match self {
+            SimplexOutcome::Feasible(w) => Some(w),
+            SimplexOutcome::Infeasible => None,
+        }
+    }
+
+    /// `true` iff a feasible point was found.
+    pub fn is_feasible(&self) -> bool {
+        matches!(self, SimplexOutcome::Feasible(_))
+    }
+}
 
 /// Finds `x ≥ 0` with `A·x ≥ b` for integer rows, by fraction-free phase-1
-/// simplex. Returns the exact same outcome (witness included) as the
-/// rational [`crate::simplex::feasible_point_rows`] on the rationalised
-/// input.
+/// simplex.
 ///
 /// # Errors
-/// [`LinalgError::IterationBudget`] if the run exceeds its iteration budget.
+/// [`LinalgError::IterationBudget`] if the run exceeds its iteration budget
+/// (a defensive bound — Bland's rule excludes cycling, so a terminating
+/// implementation never reaches it; reporting it as a value keeps a worker
+/// thread from panicking and poisoning the engine pool).
 ///
 /// # Panics
 /// Panics if a row's dimension differs from `n`, or if the number of rows
@@ -78,20 +111,22 @@ pub fn feasible_point_int_with_budget(
     b: Vec<Integer>,
     max_iterations: usize,
 ) -> Result<SimplexOutcome, LinalgError> {
-    let mut scratch = KernelScratch::default();
+    let mut scratch = LpScratch::default();
     feasible_point_int_in(n, &a, &b, max_iterations, &mut scratch)
 }
 
-/// [`feasible_point_int_with_budget`] through a caller-provided scratch, the
-/// fraction-free twin of [`crate::simplex::feasible_point_rows_in`]: all
-/// working buffers are recycled, reuse is capacity-only, and pivots and
-/// outcome are bit-identical to the fresh-allocation route.
+/// [`feasible_point_int_with_budget`] through a caller-provided scratch:
+/// every working buffer (standard-form staging, tableau rows, per-pivot
+/// reduced costs and basis bitmap, elimination merge output) is drawn from
+/// `scratch` and recycled there, so a warmed scratch makes the whole run
+/// allocation-free apart from the returned witness. Reuse is capacity-only:
+/// pivots and outcome are bit-identical to the fresh-allocation route.
 pub(crate) fn feasible_point_int_in(
     n: usize,
     a: &[IntRow],
     b: &[Integer],
     max_iterations: usize,
-    scratch: &mut KernelScratch<Integer>,
+    scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
     assert_eq!(a.len(), b.len(), "row count mismatch between A and b");
     for row in a {
@@ -100,17 +135,10 @@ pub(crate) fn feasible_point_int_in(
     if a.is_empty() {
         return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
     }
-    // Ratio-test-free pruning: a row with no positive coefficient cannot
-    // reach a positive right-hand side on x ≥ 0.
-    if a.iter().zip(b).any(|(row, b_i)| {
-        b_i.is_positive() && row.iter_nonzero().all(|(_, value)| !value.is_positive())
-    }) {
-        return Ok(SimplexOutcome::Infeasible);
-    }
 
-    // Standard form, exactly as in the rational route: a_i·x - s_i = b_i,
-    // rows normalised to a non-negative rhs, artificial variables wherever
-    // the surplus cannot start basic.
+    // Standard form: a_i·x - s_i = b_i with s_i ≥ 0, rows normalised to a
+    // non-negative rhs. A row whose rhs was ≤ 0 can start on its surplus
+    // (flipped to +1); every other row receives an artificial variable.
     //
     // Column layout: [ x (n) | s (m) | artificials (k) ].
     scratch.reset();
@@ -146,15 +174,11 @@ pub(crate) fn feasible_point_int_in(
 pub(crate) fn feasible_point_scaled_in(
     n: usize,
     a: &[IntRow],
-    scratch: &mut KernelScratch<Integer>,
+    scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
     let max_iterations = iteration_budget(n + 2 * a.len(), a.len());
     if a.is_empty() {
         return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
-    }
-    // Ratio-test-free pruning, with b = 1 always positive.
-    if a.iter().any(|row| row.iter_nonzero().all(|(_, value)| !value.is_positive())) {
-        return Ok(SimplexOutcome::Infeasible);
     }
     scratch.reset();
     for (i, a_row) in a.iter().enumerate() {
@@ -172,13 +196,13 @@ pub(crate) fn feasible_point_scaled_in(
     attach_artificials_and_run(n, max_iterations, scratch)
 }
 
-/// Second construction pass plus the pivot loop, mirroring the rational
-/// route's split: artificial columns are attached once the artificial count
-/// is known, then the fraction-free pivoting runs to optimality.
+/// Second construction pass plus the pivot loop: artificial columns are
+/// attached once the artificial count is known (every row must be staged
+/// first), then the fraction-free pivoting runs to optimality.
 fn attach_artificials_and_run(
     n: usize,
     max_iterations: usize,
-    scratch: &mut KernelScratch<Integer>,
+    scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
     let m = scratch.staged.len();
     let k = scratch.needs_artificial.iter().filter(|&&needs| needs).count();
@@ -203,7 +227,7 @@ fn attach_artificials_and_run(
         scratch.staged.clear();
     }
 
-    let KernelScratch { rows, rhs, dens, basis, in_basis, reduced, merge_buf, .. } = scratch;
+    let LpScratch { rows, rhs, dens, basis, in_basis, reduced, merge_buf, .. } = scratch;
     let mut iterations = 0usize;
 
     loop {
@@ -213,23 +237,42 @@ fn attach_artificials_and_run(
             return Err(LinalgError::IterationBudget { iterations: max_iterations });
         }
 
-        // Reduced costs, as exact rationals (signs drive Bland's rule, and
-        // summing across rows needs the true per-row scales). This is the
-        // only per-entry rational arithmetic left: the eliminate pass below
-        // — where the rational route spends its time — is pure integers.
+        // Reduced costs. The phase-1 cost vector is 0/1 (1 exactly on the
+        // artificial columns), so r_j = c_j − Σ r_i[j] / d_i over the
+        // artificial-basic rows. Scaled by the positive common denominator
+        // L = lcm(d_i) of those rows, L·r_j = L·c_j − Σ r_i[j]·(L / d_i) is
+        // an integer with the sign of r_j — and signs are all Bland's rule
+        // reads. While every d_i is 1 (the first iteration, and whenever the
+        // gcd normalisation brought a row back down) this is plain integer
+        // subtraction.
         in_basis.clear();
         in_basis.resize(total, false);
         for &basic in basis.iter() {
             in_basis[basic] = true;
         }
+        let mut lcm = Natural::one();
+        for (den, &basic) in dens.iter().zip(basis.iter()) {
+            if basic >= n + m && !den.is_one() {
+                lcm = lcm.lcm(den);
+            }
+        }
+        let scaled_cost = Integer::from(lcm.clone());
         reduced.clear();
         for j in 0..total {
-            reduced.push(if j >= n + m { Rational::one() } else { Rational::zero() });
+            reduced.push(if j >= n + m { scaled_cost.clone() } else { Integer::zero() });
         }
         for ((row, den), &basic) in rows.iter().zip(dens.iter()).zip(basis.iter()) {
-            if basic >= n + m {
+            if basic < n + m {
+                continue;
+            }
+            if *den == lcm {
                 for (j, value) in row.iter_nonzero() {
-                    reduced[j] -= &Rational::new(value.clone(), den.clone());
+                    reduced[j] -= value;
+                }
+            } else {
+                let multiplier = Integer::from(&lcm / den);
+                for (j, value) in row.iter_nonzero() {
+                    reduced[j] -= &(value * &multiplier);
                 }
             }
         }
@@ -237,21 +280,22 @@ fn attach_artificials_and_run(
         let entering = (0..total).find(|&j| !in_basis[j] && reduced[j].is_negative());
 
         let Some(enter) = entering else {
-            // Optimal: the objective is the sum of the artificial basics.
-            let mut obj = Rational::zero();
-            for i in 0..m {
-                if basis[i] >= n + m {
-                    obj += &Rational::new(rhs[i].clone(), dens[i].clone());
-                }
-            }
-            if !obj.is_zero() {
+            // Optimal. The objective is Σ rhs_i / d_i over the artificial
+            // basics; every basic value is non-negative, so it is zero iff
+            // each of those right-hand sides is.
+            debug_assert!(rhs.iter().all(|value| !value.is_negative()));
+            if basis
+                .iter()
+                .zip(rhs.iter())
+                .any(|(&basic, value)| basic >= n + m && !value.is_zero())
+            {
                 return Ok(SimplexOutcome::Infeasible);
             }
             let mut x = vec![Rational::zero(); n]; // alloc-ok: returned witness
             for i in 0..m {
                 if basis[i] < n {
-                    // Canonical rational: identical to the value the
-                    // rational route carries in its tableau.
+                    // Canonical rational: the value a rational tableau
+                    // would carry.
                     x[basis[i]] = Rational::new(rhs[i].clone(), dens[i].clone());
                 }
             }
@@ -262,8 +306,7 @@ fn attach_artificials_and_run(
         // (`(rhs_i/d_i) / (coeff_i/d_i) = rhs_i/coeff_i`), so the cross-row
         // comparison `rhs_i/coeff_i < rhs_l/coeff_l` is the integer
         // comparison `rhs_i·coeff_l < rhs_l·coeff_i` (both coeffs positive).
-        // Bland tie-breaking by smallest basic variable index, as in the
-        // rational route.
+        // Bland tie-breaking by smallest basic variable index.
         let mut leaving: Option<usize> = None;
         let mut best: Option<(Integer, Integer)> = None; // (rhs, coeff) of the leader
         for i in 0..m {
@@ -317,7 +360,7 @@ fn attach_artificials_and_run(
                 let (head, tail) = rows.split_at_mut(leave);
                 (&tail[0], &mut head[i])
             };
-            eliminate_fraction_free(target_row, &pivot, &factor, leave_row, enter, merge_buf);
+            target_row.eliminate_fraction_free(&pivot, &factor, leave_row, enter, merge_buf);
             rhs[i] = &(&pivot * &rhs[i]) - &(&factor * &rhs[leave]);
             dens[i] = &dens[i] * &pivot.magnitude();
             normalise_row(target_row, &mut rhs[i], &mut dens[i]);
@@ -326,57 +369,6 @@ fn attach_artificials_and_run(
         dens[leave] = pivot.magnitude();
         normalise_row(&mut rows[leave], &mut rhs[leave], &mut dens[leave]);
         basis[leave] = enter;
-    }
-}
-
-/// The fraction-free elimination step: `target ← pivot·target − factor·src`,
-/// skipping the column `skip` (whose coefficient the caller already removed
-/// with `take`). A sparse row that fills in past the density threshold is
-/// densified here, mirroring [`GenRow::eliminate`]. The sparse merge writes
-/// into `spare` (swapped with the row's storage afterwards), so the pivot
-/// loop recycles one buffer across every elimination.
-fn eliminate_fraction_free(
-    target: &mut IntRow,
-    pivot: &Integer,
-    factor: &Integer,
-    src: &IntRow,
-    skip: usize,
-    spare: &mut Vec<(usize, Integer)>,
-) {
-    match target {
-        GenRow::Dense(v) => {
-            // The cross-multiplication rescales every stored entry, so a
-            // dense target is two passes: scale, then subtract over the
-            // source's non-zeros.
-            for value in v.iter_mut() {
-                if !value.is_zero() {
-                    let taken = core::mem::take(value);
-                    *value = &taken * pivot;
-                }
-            }
-            for (col, coeff) in src.iter_nonzero() {
-                if col == skip {
-                    continue;
-                }
-                let delta = factor * coeff;
-                v[col] -= &delta;
-            }
-        }
-        GenRow::Sparse(s) => {
-            merge_sparse(
-                spare,
-                &s.entries,
-                src,
-                skip,
-                |vt| vt * pivot,
-                |vs| -(factor * vs),
-                |vt, vs| &(vt * pivot) - &(factor * vs),
-            );
-            core::mem::swap(&mut s.entries, spare);
-            if !sparse_is_worth_it(s.entries.len(), s.dim) {
-                *target = GenRow::Dense(s.to_dense());
-            }
-        }
     }
 }
 
@@ -420,8 +412,6 @@ fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::Row;
-    use crate::simplex::feasible_point_rows;
 
     fn int_rows(rows: &[&[i64]]) -> Vec<IntRow> {
         rows.iter()
@@ -431,39 +421,48 @@ mod tests {
             .collect()
     }
 
-    fn rational_rows(rows: &[&[i64]]) -> Vec<Row> {
-        rows.iter()
-            .map(|row| {
-                Row::from_dense_auto(&row.iter().map(|&v| Rational::from(v)).collect::<Vec<_>>())
-            })
-            .collect()
+    fn run(rows: &[&[i64]], b: &[i64]) -> SimplexOutcome {
+        let n = rows.first().map_or(0, |r| r.len());
+        feasible_point_int(n, int_rows(rows), b.iter().map(|&v| Integer::from(v)).collect())
+            .unwrap()
     }
 
-    /// Both routes on the same system must agree exactly, witness included.
-    fn assert_routes_identical(rows: &[&[i64]], b: &[i64]) -> SimplexOutcome {
-        let n = rows.first().map_or(0, |r| r.len());
-        let b_int: Vec<Integer> = b.iter().map(|&v| Integer::from(v)).collect();
-        let b_rat: Vec<Rational> = b.iter().map(|&v| Rational::from(v)).collect();
-        let fraction_free = feasible_point_int(n, int_rows(rows), b_int).unwrap();
-        let rational = feasible_point_rows(n, rational_rows(rows), b_rat).unwrap();
-        assert_eq!(fraction_free, rational, "routes diverged on {rows:?} >= {b:?}");
-        fraction_free
+    fn witness(components: &[&str]) -> SimplexOutcome {
+        SimplexOutcome::Feasible(components.iter().map(|c| c.parse().unwrap()).collect())
     }
 
     #[test]
-    fn matches_rational_route_on_the_simplex_test_suite() {
-        // The systems of the rational simplex's own unit tests.
-        assert_routes_identical(&[&[1, 2], &[3, -1]], &[0, -5]);
-        assert_routes_identical(&[&[1, 1]], &[3]);
-        assert_routes_identical(&[&[-1, -1]], &[1]);
-        assert_routes_identical(&[&[1, -1], &[-1, 3]], &[2, 1]);
-        assert_routes_identical(&[&[1], &[-1]], &[5, -2]);
-        assert_routes_identical(&[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]], &[1, 1, 1]);
-        assert_routes_identical(&[&[0, 0, 0]], &[1]);
-        assert_routes_identical(&[&[1, -1], &[0, 1]], &[0, 2]);
-        assert_routes_identical(
-            &[&[1, 1, 1, 1], &[2, -1, 0, 1], &[-1, 2, -1, 1], &[0, 0, 3, -2], &[1, 0, 0, 0]],
-            &[10, 4, 7, 1, 1],
+    fn witnesses_are_pinned_exactly() {
+        // Exact outcomes of the Bland-rule phase-1 pivot sequence, recorded
+        // from the rational tableau this kernel replaced: any change to the
+        // pivot order or the witness read-off shows up here.
+        assert_eq!(run(&[&[1, 2], &[3, -1]], &[0, -5]), witness(&["0", "0"]));
+        assert_eq!(run(&[&[1, 1]], &[3]), witness(&["3", "0"]));
+        assert_eq!(run(&[&[-1, -1]], &[1]), SimplexOutcome::Infeasible);
+        assert_eq!(run(&[&[1, -1], &[-1, 3]], &[2, 1]), witness(&["7/2", "3/2"]));
+        assert_eq!(run(&[&[1], &[-1]], &[5, -2]), SimplexOutcome::Infeasible);
+        // The paper's running example, scaled to ≥ 1: the kernel lands on
+        // the paper's own solution (0, 2, 1).
+        assert_eq!(
+            run(&[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]], &[1, 1, 1]),
+            witness(&["0", "2", "1"])
+        );
+        assert_eq!(run(&[&[0, 0, 0]], &[1]), SimplexOutcome::Infeasible);
+        assert_eq!(run(&[&[1, -1], &[0, 1]], &[0, 2]), witness(&["2", "2"]));
+        assert_eq!(
+            run(
+                &[&[1, 1, 1, 1], &[2, -1, 0, 1], &[-1, 2, -1, 1], &[0, 0, 3, -2], &[1, 0, 0, 0]],
+                &[10, 4, 7, 1, 1],
+            ),
+            witness(&["1", "23/7", "27/7", "37/7"])
+        );
+        assert_eq!(
+            run(&[&[1, 0, 0, -1, 0], &[0, 2, 0, 0, -1], &[-1, 0, 3, 0, 0]], &[1, 2, 3]),
+            witness(&["1", "1", "4/3", "0", "0"])
+        );
+        assert_eq!(
+            run(&[&[2, -3, 1], &[-1, 4, -2], &[3, 1, -5]], &[1, 1, 1]),
+            witness(&["15/8", "21/16", "19/16"])
         );
     }
 
@@ -474,30 +473,18 @@ mod tests {
     }
 
     #[test]
-    fn prunes_nonpositive_rows_without_pivoting() {
-        // All coefficients ≤ 0 against b > 0: rejected before any tableau
-        // exists, so even a zero iteration budget cannot be exhausted.
-        let outcome =
-            feasible_point_int_with_budget(2, int_rows(&[&[-1, -2]]), vec![Integer::one()], 0)
-                .unwrap();
-        assert_eq!(outcome, SimplexOutcome::Infeasible);
-        let outcome =
-            feasible_point_int_with_budget(2, int_rows(&[&[0, 0]]), vec![Integer::one()], 0)
-                .unwrap();
-        assert_eq!(outcome, SimplexOutcome::Infeasible);
-        // A mixed-sign row is not prunable and must actually pivot.
-        let err =
-            feasible_point_int_with_budget(2, int_rows(&[&[1, -1]]), vec![Integer::from(3)], 0)
-                .expect_err("zero budget cannot run a real pivot");
-        assert_eq!(err, LinalgError::IterationBudget { iterations: 0 });
-    }
-
-    #[test]
-    fn witnesses_are_canonical_rationals() {
-        // (1/2)x0 >= 3/2 scaled to integers: x0 >= 3.
-        let outcome = assert_routes_identical(&[&[1]], &[3]);
-        let witness = outcome.witness().unwrap();
-        assert_eq!(witness[0], Rational::from(3));
+    fn nonpositive_rows_are_refuted_by_the_first_optimality_check() {
+        // All coefficients ≤ 0 against b > 0: no reduced cost is negative,
+        // so the first iteration already finds the phase-1 optimum with a
+        // positive objective — infeasible within a budget of one, and never
+        // without building the tableau.
+        for row in [&[-1i64, -2][..], &[0, 0][..]] {
+            let outcome =
+                feasible_point_int_with_budget(2, int_rows(&[row]), vec![Integer::one()], 1);
+            assert_eq!(outcome.unwrap(), SimplexOutcome::Infeasible, "{row:?}");
+            let err = feasible_point_int_with_budget(2, int_rows(&[row]), vec![Integer::one()], 0);
+            assert_eq!(err.unwrap_err(), LinalgError::IterationBudget { iterations: 0 });
+        }
     }
 
     #[test]
@@ -505,17 +492,25 @@ mod tests {
         // Entries around 2^40: a single cross-multiplication already
         // overflows i64 (the inline Integer variant), so the kernel must
         // promote — and the gcd normalisation must bring values back down
-        // so the verdict and witness still match the rational route.
+        // without losing exactness.
         let big = 1i64 << 40;
         let rows: Vec<Vec<i64>> =
             vec![vec![big, -big + 1, 3], vec![-big + 3, big, -2], vec![1, -2, big]];
         let refs: Vec<&[i64]> = rows.iter().map(std::vec::Vec::as_slice).collect();
-        let outcome = assert_routes_identical(&refs, &[1, 1, 1]);
-        assert!(outcome.is_feasible());
+        assert_eq!(
+            run(&refs, &[1, 1, 1]),
+            witness(&[
+                "1099511627773/2199023255547",
+                "604462909806215075725313/1208925819614079418892283",
+                "1649267441662/1208925819614079418892283",
+            ])
+        );
     }
 
     #[test]
     fn budget_blowout_is_a_structured_error() {
+        // Regression: the kernel used to `assert!` on the budget, panicking
+        // the engine-pool worker that held the pair.
         let err = feasible_point_int_with_budget(
             2,
             int_rows(&[&[1, -1], &[-1, 3]]),
@@ -524,5 +519,6 @@ mod tests {
         )
         .expect_err("one iteration cannot finish this system");
         assert_eq!(err, LinalgError::IterationBudget { iterations: 1 });
+        assert!(err.to_string().contains("iteration budget of 1"), "{err}");
     }
 }

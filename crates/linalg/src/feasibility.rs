@@ -12,49 +12,34 @@
 //! with rational coefficients: any rational solution can be scaled by the
 //! least common multiple of its denominators into a natural one.
 //!
-//! [`StrictHomogeneousSystem`] captures exactly that shape and offers the
-//! engines of [`FeasibilityEngine`] for deciding it and extracting natural
-//! witnesses. The rows are stored as sparse **integer** [`IntRow`]s built
-//! straight from the non-zero exponent differences — the fraction-free
-//! Bareiss kernel consumes them as-is, and the rational engines receive
-//! them converted once, up front.
+//! [`StrictHomogeneousSystem`] captures exactly that shape and decides it
+//! with the exact fraction-free simplex of [`crate::bareiss`], extracting
+//! natural witnesses. The rows are stored as sparse **integer** [`IntRow`]s
+//! built straight from the non-zero exponent differences, which the kernel
+//! consumes as-is. Fourier–Motzkin elimination stays reachable through
+//! [`FeasibilityEngine::FourierMotzkin`] as the differential oracle that
+//! tests and benches compare the kernel against.
 
 use dioph_arith::{Integer, Natural, Rational};
 
-use crate::bareiss;
+use crate::bareiss::{self, SimplexOutcome};
 use crate::error::LinalgError;
 use crate::fourier_motzkin::{self, FmOutcome, UpperForm};
 use crate::row::{IntRow, Row};
 use crate::scratch::{LpScratch, RowPool};
-use crate::simplex::{self, SimplexOutcome};
 use crate::system::{Constraint, LinearSystem, Relation};
 
 /// Which engine to use when deciding feasibility.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub enum FeasibilityEngine {
-    /// Exact rational phase-1 simplex (default; polynomial in practice).
+    /// The exact fraction-free phase-1 simplex of [`crate::bareiss`]
+    /// (default, and the only production route; polynomial in practice).
     #[default]
     Simplex,
-    /// The fraction-free integer simplex of [`crate::bareiss`]: identical
-    /// pivot sequence, verdict and witness as [`Self::Simplex`], but every
-    /// intermediate value stays an integer with one exact division per row
-    /// per pivot — the route for systems whose pivot values outgrow machine
-    /// words.
-    Bareiss,
-    /// Picks [`Self::Bareiss`] past the measured machine-word cliff
-    /// (≈ 16 unknowns × 48 rows, or any coefficient already beyond `i64`)
-    /// and [`Self::Simplex`] below it. Verdicts and witnesses are identical
-    /// either way, so the choice is pure performance.
-    Auto,
-    /// Fourier–Motzkin elimination (simple, doubly exponential worst case).
+    /// Fourier–Motzkin elimination (simple, doubly exponential worst case):
+    /// the differential oracle for tests and benches.
     FourierMotzkin,
 }
-
-/// The `Auto` route switches to the fraction-free kernel when the tableau
-/// has at least this many cells (dimension × rows): the measured cliff where
-/// rational pivot values stop fitting machine words for good (lp_ablation,
-/// 16 unknowns × 48 rows).
-const AUTO_FRACTION_FREE_CELLS: usize = 16 * 48;
 
 /// A system `{ rows[i] · ε > 0 }` over non-negative unknowns `ε`.
 ///
@@ -148,7 +133,8 @@ impl StrictHomogeneousSystem {
     }
 
     /// One sparse rational [`Row`] per strict inequality: exactly the
-    /// non-zero integer coefficients, as rationals.
+    /// non-zero integer coefficients, as rationals (the Fourier–Motzkin
+    /// input).
     pub fn to_sparse_rows(&self) -> Vec<Row> {
         self.rows
             .iter()
@@ -158,11 +144,6 @@ impl StrictHomogeneousSystem {
                 Row::sparse(self.dimension, entries)
             })
             .collect()
-    }
-
-    /// The stored integer rows, cloned — the fraction-free kernel's input.
-    pub fn to_int_rows(&self) -> Vec<IntRow> {
-        self.rows.clone()
     }
 
     /// Renders the system as a [`LinearSystem`] with strict rows and explicit
@@ -185,7 +166,7 @@ impl StrictHomogeneousSystem {
     /// with the empty witness.
     ///
     /// # Errors
-    /// [`LinalgError::IterationBudget`] if a simplex engine exhausts its
+    /// [`LinalgError::IterationBudget`] if the simplex exhausts its
     /// (defensive, generous) iteration budget.
     pub fn rational_solution(
         &self,
@@ -196,10 +177,9 @@ impl StrictHomogeneousSystem {
     }
 
     /// [`Self::rational_solution`] through a caller-provided scratch: the
-    /// simplex and fraction-free routes draw every working buffer from
-    /// `scratch` (recycled there afterwards), so a warmed scratch decides a
-    /// system with no heap allocation beyond the returned witness. Reuse is
-    /// capacity-only — verdicts and witnesses are bit-identical to the
+    /// simplex draws every working buffer from `scratch` (recycled there
+    /// afterwards), so a warmed scratch decides a system with no heap
+    /// allocation beyond the returned witness. Reuse is capacity-only — verdicts and witnesses are bit-identical to the
     /// fresh-allocation route. The Fourier–Motzkin engine ignores the
     /// scratch (it is not on any hot path).
     ///
@@ -219,35 +199,16 @@ impl StrictHomogeneousSystem {
         if self.rows.iter().any(super::row::GenRow::is_zero_row) {
             return Ok(None);
         }
-        let engine = self.resolve_auto(engine);
         match engine {
             FeasibilityEngine::Simplex => {
                 // Homogeneity: A·ε > 0, ε ≥ 0 feasible  ⟺  A·ε ≥ 1, ε ≥ 0
-                // feasible — the scaled kernel bakes in b = 1 and converts
-                // the stored integer coefficients straight into pooled
-                // tableau storage.
-                match simplex::feasible_point_scaled_in(
-                    self.dimension,
-                    &self.rows,
-                    &mut scratch.rational,
-                )? {
+                // feasible — the scaled kernel bakes in b = 1 and takes the
+                // stored integer rows untranslated.
+                match bareiss::feasible_point_scaled_in(self.dimension, &self.rows, scratch)? {
                     SimplexOutcome::Feasible(x) => Ok(Some(x)),
                     SimplexOutcome::Infeasible => Ok(None),
                 }
             }
-            FeasibilityEngine::Bareiss => {
-                // Same homogeneity scaling; the stored integer rows are
-                // handed over untranslated.
-                match bareiss::feasible_point_scaled_in(
-                    self.dimension,
-                    &self.rows,
-                    &mut scratch.integer,
-                )? {
-                    SimplexOutcome::Feasible(x) => Ok(Some(x)),
-                    SimplexOutcome::Infeasible => Ok(None),
-                }
-            }
-            FeasibilityEngine::Auto => unreachable!("resolve_auto picked a concrete engine"),
             FeasibilityEngine::FourierMotzkin => {
                 // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
                 // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0 — all sparse.
@@ -278,24 +239,6 @@ impl StrictHomogeneousSystem {
                     FmOutcome::Infeasible => Ok(None),
                 }
             }
-        }
-    }
-
-    /// Resolves [`FeasibilityEngine::Auto`] to a concrete simplex route:
-    /// fraction-free past the machine-word cliff (large tableau, or any
-    /// coefficient already beyond `i64`), rational below it. Both produce
-    /// identical results; this is a pure performance choice.
-    fn resolve_auto(&self, engine: FeasibilityEngine) -> FeasibilityEngine {
-        if engine != FeasibilityEngine::Auto {
-            return engine;
-        }
-        let cells = self.dimension.saturating_mul(self.rows.len());
-        let has_big_coefficient =
-            self.rows.iter().any(|row| row.iter_nonzero().any(|(_, c)| c.to_i64().is_none()));
-        if cells >= AUTO_FRACTION_FREE_CELLS || has_big_coefficient {
-            FeasibilityEngine::Bareiss
-        } else {
-            FeasibilityEngine::Simplex
         }
     }
 
@@ -370,12 +313,8 @@ pub fn scale_to_naturals(point: &[Rational]) -> Vec<Natural> {
 mod tests {
     use super::*;
 
-    const ENGINES: [FeasibilityEngine; 4] = [
-        FeasibilityEngine::Simplex,
-        FeasibilityEngine::Bareiss,
-        FeasibilityEngine::Auto,
-        FeasibilityEngine::FourierMotzkin,
-    ];
+    const ENGINES: [FeasibilityEngine; 2] =
+        [FeasibilityEngine::Simplex, FeasibilityEngine::FourierMotzkin];
 
     #[test]
     fn empty_system_is_feasible() {
@@ -466,31 +405,32 @@ mod tests {
     }
 
     #[test]
-    fn bareiss_and_simplex_witnesses_are_identical() {
-        // Not just the verdict: the rational witness itself must match,
-        // component for component (that is what keeps the JSON certificates
-        // byte-identical across --lp-route settings).
+    fn paper_running_example_witness_is_pinned() {
+        // Not just the verdict: the exact rational witness is what the JSON
+        // certificates print, so it is pinned literally — the paper's own
+        // solution (0, 2, 1), recorded from the rational tableau the
+        // fraction-free kernel replaced. Fourier–Motzkin is the verdict
+        // oracle.
         let mut sys = StrictHomogeneousSystem::new(3);
         sys.push_row_i64(&[-5, 1, 3]);
         sys.push_row_i64(&[-3, -1, 3]);
         sys.push_row_i64(&[-1, 1, -1]);
-        let simplex = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        let bareiss = sys.rational_solution(FeasibilityEngine::Bareiss).unwrap();
-        let auto = sys.rational_solution(FeasibilityEngine::Auto).unwrap();
-        assert_eq!(simplex, bareiss);
-        assert_eq!(simplex, auto);
+        let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
+        assert_eq!(witness, Some(vec![Rational::zero(), Rational::from(2), Rational::one()]));
+        assert!(sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap());
     }
 
     #[test]
-    fn auto_resolves_by_size_and_coefficient_width() {
-        let mut small = StrictHomogeneousSystem::new(2);
-        small.push_row_i64(&[1, -1]);
-        assert_eq!(small.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Simplex);
-        // A coefficient past i64 flips the choice regardless of size.
+    fn kernel_decides_wide_coefficients_and_large_tableaus() {
+        // A coefficient past i64: the kernel promotes instead of overflowing,
+        // and agrees with the Fourier–Motzkin oracle.
         let mut wide = StrictHomogeneousSystem::new(2);
         wide.push_row(vec![Integer::from(i64::MAX) * Integer::from(4), Integer::from(-1)]);
-        assert_eq!(wide.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Bareiss);
-        // So does sheer size (the measured cliff).
+        let witness = wide.natural_solution(FeasibilityEngine::Simplex).unwrap().unwrap();
+        assert!(wide.is_satisfied_by_naturals(&witness));
+        assert!(wide.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap());
+        // A 16 × 48 tableau (past the old machine-word cliff): the cyclic
+        // chain ε_i > ε_{i+1} cannot close, so the system is infeasible.
         let mut big = StrictHomogeneousSystem::new(16);
         for i in 0..48 {
             let mut row = vec![0i64; 16];
@@ -498,9 +438,7 @@ mod tests {
             row[(i + 1) % 16] = -1;
             big.push_row_i64(&row);
         }
-        assert_eq!(big.resolve_auto(FeasibilityEngine::Auto), FeasibilityEngine::Bareiss);
-        // Concrete engines resolve to themselves.
-        assert_eq!(big.resolve_auto(FeasibilityEngine::Simplex), FeasibilityEngine::Simplex);
+        assert!(!big.is_feasible(FeasibilityEngine::Simplex).unwrap());
     }
 
     #[test]
@@ -516,9 +454,8 @@ mod tests {
         assert_eq!(rows[0].get(0), None);
         assert_eq!(rows[1].nnz(), 1);
         // The stored integer rows carry the same values.
-        let int_rows = sys.to_int_rows();
-        assert_eq!(int_rows[0].get(1), Some(&Integer::from(3)));
-        assert_eq!(int_rows[1].get(0), Some(&Integer::one()));
+        assert_eq!(sys.rows()[0].get(1), Some(&Integer::from(3)));
+        assert_eq!(sys.rows()[1].get(0), Some(&Integer::one()));
     }
 
     #[test]

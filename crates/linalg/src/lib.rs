@@ -1,4 +1,4 @@
-//! # dioph-linalg — exact rational linear algebra and feasibility
+//! # dioph-linalg — exact linear algebra and feasibility
 //!
 //! The decision procedure of *"Attacking Diophantus"* (PODS 2019) hinges on
 //! Theorem 4.1: a monomial–polynomial inequality has a Diophantine solution
@@ -14,15 +14,12 @@
 //!   ([`GenRow`]); the mostly-zero rows of the paper's strict homogeneous
 //!   systems are stored sparsely, so zero-skipping comes from the
 //!   representation instead of per-loop checks;
+//! * [`bareiss`] — the one production LP kernel: an exact fraction-free
+//!   phase-1 simplex whose intermediate values all stay integers
+//!   ([`IntRow`]), with a single exact gcd division per row per pivot;
 //! * [`fourier_motzkin`] — Fourier–Motzkin elimination with witness
-//!   extraction (the "obviously correct" engine);
-//! * [`simplex`] — an exact rational phase-1 simplex (the scalable engine);
-//! * [`bareiss`] — the fraction-free integer twin of the simplex: every
-//!   intermediate value stays an integer ([`IntRow`]), with a single exact
-//!   gcd division per row per pivot instead of a rational reduction per
-//!   entry. Pivot sequences, verdicts and witnesses are bit-identical to
-//!   [`simplex`]; it exists for the regime where pivot values outgrow
-//!   machine words (the `lp_ablation` cliff);
+//!   extraction: the "obviously correct" differential oracle that tests and
+//!   benches check the kernel against;
 //! * [`StrictHomogeneousSystem`] — the exact shape produced by the paper's
 //!   reduction, with natural-number witness extraction
 //!   ([`StrictHomogeneousSystem::natural_solution`]).
@@ -37,11 +34,8 @@
 //! sys.push_row_i64(&[-1, 1, -1]);
 //! let witness = sys.natural_solution(FeasibilityEngine::Simplex).unwrap().unwrap();
 //! assert!(sys.is_satisfied_by_naturals(&witness));
-//! // The fraction-free route reaches the identical witness.
-//! assert_eq!(
-//!     Some(witness),
-//!     sys.natural_solution(FeasibilityEngine::Bareiss).unwrap(),
-//! );
+//! // The Fourier–Motzkin oracle agrees on the verdict.
+//! assert!(sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -53,13 +47,12 @@ mod feasibility;
 pub mod fourier_motzkin;
 pub mod row;
 pub mod scratch;
-pub mod simplex;
 mod system;
 
+pub use bareiss::SimplexOutcome;
 pub use error::LinalgError;
 pub use feasibility::{scale_to_naturals, FeasibilityEngine, StrictHomogeneousSystem};
 pub use fourier_motzkin::FmOutcome;
 pub use row::{Coeff, GenRow, GenSparseRow, IntRow, Row, SparseRow};
 pub use scratch::{LpScratch, RowPool};
-pub use simplex::SimplexOutcome;
 pub use system::{dot, dot_int, dot_int_int, dot_int_nat, Constraint, LinearSystem, Relation};

@@ -12,11 +12,11 @@
 //!
 //! Two instantiations are used:
 //!
-//! * [`Row`] (`GenRow<Rational>`) — the exact rational rows of the
-//!   [`simplex`](crate::simplex) and Fourier–Motzkin engines;
 //! * [`IntRow`] (`GenRow<Integer>`) — the integer rows of the fraction-free
 //!   [`bareiss`](crate::bareiss) kernel, where every intermediate value stays
-//!   an integer and division happens once per row, exactly.
+//!   an integer and division happens once per row, exactly;
+//! * [`Row`] (`GenRow<Rational>`) — the exact rational rows of the
+//!   Fourier–Motzkin differential oracle.
 //!
 //! A sparse row that fills in past half its width during elimination is
 //! densified on the spot, so the worst case degrades to the dense algorithm
@@ -70,8 +70,8 @@ pub struct GenSparseRow<T> {
     pub(crate) entries: Vec<(usize, T)>,
 }
 
-/// The rational instantiation of [`GenSparseRow`] (the simplex and
-/// Fourier–Motzkin rows).
+/// The rational instantiation of [`GenSparseRow`] (the Fourier–Motzkin
+/// rows).
 pub type SparseRow = GenSparseRow<Rational>;
 
 impl<T: Coeff> GenSparseRow<T> {
@@ -135,7 +135,7 @@ pub enum GenRow<T> {
     Sparse(GenSparseRow<T>),
 }
 
-/// The exact rational row of the simplex and Fourier–Motzkin engines.
+/// The exact rational row of the Fourier–Motzkin engine.
 pub type Row = GenRow<Rational>;
 
 /// The integer row of the fraction-free Bareiss kernel.
@@ -272,10 +272,10 @@ impl<T: Coeff> GenRow<T> {
     /// Moves a dense row back to the sparse representation when its density
     /// has receded to the sparse side of the threshold. Elimination both
     /// creates and *cancels* fill-in; without this the densification in
-    /// `eliminate` is a one-way ratchet and later passes scan dense zeros
-    /// forever. The engines call it at pivot boundaries (once per updated
-    /// row per pivot), so the scan amortises against the elimination that
-    /// just walked the same row.
+    /// [`IntRow::eliminate_fraction_free`] is a one-way ratchet and later
+    /// passes scan dense zeros forever. The kernel calls it at pivot
+    /// boundaries (once per updated row per pivot), so the scan amortises
+    /// against the elimination that just walked the same row.
     pub fn resparsify(&mut self) {
         if let GenRow::Dense(v) = self {
             let dim = v.len();
@@ -294,8 +294,8 @@ impl<T: Coeff> GenRow<T> {
 
     /// `true` iff the representation matches the density threshold: sparse
     /// rows hold at most half their width in non-zeros, dense rows more.
-    /// This is the invariant `auto` establishes and
-    /// `eliminate`/[`Self::resparsify`] maintain (asserted by the proptests).
+    /// This is the invariant `auto` establishes and elimination plus
+    /// [`Self::resparsify`] maintain (asserted by the proptests).
     pub fn representation_is_canonical(&self) -> bool {
         match self {
             GenRow::Dense(_) => !sparse_is_worth_it(self.nnz(), self.dim()),
@@ -312,52 +312,36 @@ impl<T: Coeff> GenRow<T> {
     }
 }
 
-impl Row {
-    /// Divides every non-zero coefficient by `divisor` in place (the
-    /// normalisation half of a pivot).
-    ///
-    /// # Panics
-    /// Panics if `divisor` is zero.
-    pub fn scale_div(&mut self, divisor: &Rational) {
-        match self {
-            GenRow::Dense(v) => {
-                for value in v.iter_mut() {
-                    if !value.is_zero() {
-                        *value = &*value / divisor;
-                    }
-                }
-            }
-            GenRow::Sparse(s) => {
-                for (_, value) in s.entries.iter_mut() {
-                    *value = &*value / divisor;
-                }
-            }
-        }
-    }
-
-    /// The shared elimination routine: `self -= factor * src`, skipping the
-    /// column `skip` (the pivot column, whose new value the caller already
-    /// knows to be zero). A sparse row that fills in past the densify
+impl IntRow {
+    /// The fraction-free elimination step of the Bareiss kernel:
+    /// `self ← pivot·self − factor·src`, skipping the column `skip` (the
+    /// pivot column, whose coefficient the caller already removed with
+    /// [`GenRow::take`]). A sparse row that fills in past the densify
     /// threshold is converted to dense here.
-    pub fn eliminate(&mut self, factor: &Rational, src: &Row, skip: usize) {
-        let mut spare = Vec::new(); // alloc-ok: convenience wrapper; hot loops use eliminate_with
-        self.eliminate_with(factor, src, skip, &mut spare);
-    }
-
-    /// [`Self::eliminate`] with a caller-provided merge buffer: the sparse
-    /// merge writes into `spare` and swaps it with the row's entry storage,
-    /// so a buffer threaded through a pivot loop makes every elimination
-    /// allocation-free in the steady state. On return `spare` holds the
-    /// row's *previous* entries (cleared on next use).
-    pub fn eliminate_with(
+    ///
+    /// The sparse merge writes into `spare` and swaps it with the row's entry
+    /// storage, so a buffer threaded through a pivot loop makes every
+    /// elimination allocation-free in the steady state. On return `spare`
+    /// holds the row's *previous* entries (cleared on next use).
+    pub fn eliminate_fraction_free(
         &mut self,
-        factor: &Rational,
-        src: &Row,
+        pivot: &Integer,
+        factor: &Integer,
+        src: &IntRow,
         skip: usize,
-        spare: &mut Vec<(usize, Rational)>,
+        spare: &mut Vec<(usize, Integer)>,
     ) {
         match self {
             GenRow::Dense(v) => {
+                // The cross-multiplication rescales every stored entry, so a
+                // dense target is two passes: scale, then subtract over the
+                // source's non-zeros.
+                for value in v.iter_mut() {
+                    if !value.is_zero() {
+                        let taken = core::mem::take(value);
+                        *value = &taken * pivot;
+                    }
+                }
                 for (col, coeff) in src.iter_nonzero() {
                     if col == skip {
                         continue;
@@ -372,9 +356,9 @@ impl Row {
                     &s.entries,
                     src,
                     skip,
-                    Rational::clone,
+                    |vt| vt * pivot,
                     |vs| -(factor * vs),
-                    |vt, vs| vt - &(factor * vs),
+                    |vt, vs| &(vt * pivot) - &(factor * vs),
                 );
                 core::mem::swap(&mut s.entries, spare);
                 if !sparse_is_worth_it(s.entries.len(), s.dim) {
@@ -383,7 +367,9 @@ impl Row {
             }
         }
     }
+}
 
+impl Row {
     /// The shared combination routine: `a_coeff * a + b_coeff * b` as a new
     /// row (the Fourier–Motzkin pair step). Exact zeros produced by
     /// cancellation are dropped.
@@ -461,7 +447,7 @@ impl<'a, T: Coeff> Iterator for RowIter<'a, T> {
     }
 }
 
-/// The sorted two-stream merge both elimination kernels share: walks the
+/// The sorted two-stream merge behind the sparse elimination: walks the
 /// `target` entries and the non-`skip` entries of `src` in column order,
 /// producing `map_target(v)` for target-only columns, `map_src(v)` for
 /// src-only columns and `combine(vt, vs)` where both are present. Exact
@@ -469,7 +455,7 @@ impl<'a, T: Coeff> Iterator for RowIter<'a, T> {
 ///
 /// The merge writes into `out` (cleared first) so pivot loops can recycle
 /// one output buffer across eliminations instead of allocating per merge.
-pub(crate) fn merge_sparse<T: Coeff>(
+fn merge_sparse<T: Coeff>(
     out: &mut Vec<(usize, T)>,
     target: &[(usize, T)],
     src: &GenRow<T>,
@@ -605,93 +591,73 @@ mod tests {
         }
     }
 
-    #[test]
-    fn scale_div_normalises() {
-        for mut row in [dense(&[0, 4, 0, -6]), sparse(4, &[(1, 4), (3, -6)])] {
-            row.scale_div(&r(2));
-            assert_eq!(row.get(1), Some(&r(2)));
-            assert_eq!(row.get(3), Some(&r(-3)));
-        }
+    fn int(vals: &[i64]) -> IntRow {
+        IntRow::Dense(vals.iter().map(|&v| Integer::from(v)).collect())
+    }
+
+    fn int_sparse(vals: &[i64]) -> IntRow {
+        let entries =
+            vals.iter().enumerate().filter(|(_, &v)| v != 0).map(|(i, &v)| (i, Integer::from(v)));
+        IntRow::sparse(vals.len(), entries.collect())
+    }
+
+    fn eliminate(row: &mut IntRow, pivot: i64, factor: i64, src: &IntRow, skip: usize) {
+        let mut spare = Vec::new();
+        row.eliminate_fraction_free(
+            &Integer::from(pivot),
+            &Integer::from(factor),
+            src,
+            skip,
+            &mut spare,
+        );
     }
 
     #[test]
     fn eliminate_matches_dense_reference() {
-        // target -= 2 * src with skip = 0.
+        // target ← 3·target − 2·src, with src's column 0 skipped.
         let target_vals = [3i64, 0, 5, -1, 0, 2, 0, 0];
         let src_vals = [7i64, 1, 0, -1, 4, 2, 0, 0];
-        let factor = r(2);
-        let mut expect: Vec<Rational> = target_vals.iter().map(|&v| r(v)).collect();
-        for (i, &s) in src_vals.iter().enumerate() {
-            if i != 0 {
-                expect[i] -= &(&factor * &r(s));
-            }
-        }
-        for mut target in [
-            dense(&target_vals),
-            Row::from_dense_auto(&target_vals.iter().map(|&v| r(v)).collect::<Vec<_>>()),
-            Row::sparse(
-                8,
-                target_vals
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i, r(v)))
-                    .collect(),
-            ),
-        ] {
-            for src in [
-                dense(&src_vals),
-                Row::sparse(
-                    8,
-                    src_vals
-                        .iter()
-                        .enumerate()
-                        .filter(|(_, &v)| v != 0)
-                        .map(|(i, &v)| (i, r(v)))
-                        .collect(),
-                ),
-            ] {
+        let expect: Vec<Integer> = (0..8)
+            .map(|i| Integer::from(3 * target_vals[i] - if i == 0 { 0 } else { 2 * src_vals[i] }))
+            .collect();
+        for target in [int(&target_vals), int_sparse(&target_vals)] {
+            for src in [int(&src_vals), int_sparse(&src_vals)] {
                 let mut t = target.clone();
-                t.eliminate(&factor, &src, 0);
+                eliminate(&mut t, 3, 2, &src, 0);
                 assert_eq!(t.to_dense_vec(), expect);
             }
-            // Also exercise in-place repeated elimination.
-            target.eliminate(&r(0), &dense(&src_vals), 0);
         }
     }
 
     #[test]
     fn eliminate_densifies_on_fill_in() {
-        let mut target = sparse(8, &[(0, 1)]);
-        let src = dense(&[0, 1, 1, 1, 1, 1, 1, 1]);
-        target.eliminate(&r(1), &src, usize::MAX);
-        assert!(matches!(target, Row::Dense(_)), "fill-in past half must densify");
-        assert_eq!(target.to_dense_vec(), dense(&[1, -1, -1, -1, -1, -1, -1, -1]).to_dense_vec());
+        let mut target = int_sparse(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        eliminate(&mut target, 1, 1, &int(&[0, 1, 1, 1, 1, 1, 1, 1]), usize::MAX);
+        assert!(matches!(target, IntRow::Dense(_)), "fill-in past half must densify");
+        assert_eq!(target, int(&[1, -1, -1, -1, -1, -1, -1, -1]));
     }
 
     #[test]
     fn resparsify_undoes_receded_fill_in() {
         // Densify by fill-in, then cancel most of the row again: the ratchet
         // must release at the pivot boundary.
-        let mut row = sparse(8, &[(0, 1)]);
-        let fill = dense(&[0, 1, 1, 1, 1, 1, 1, 1]);
-        row.eliminate(&r(1), &fill, usize::MAX);
-        assert!(matches!(row, Row::Dense(_)));
+        let mut row = int_sparse(&[1, 0, 0, 0, 0, 0, 0, 0]);
+        eliminate(&mut row, 1, 1, &int(&[0, 1, 1, 1, 1, 1, 1, 1]), usize::MAX);
+        assert!(matches!(row, IntRow::Dense(_)));
         row.resparsify();
-        assert!(matches!(row, Row::Dense(_)), "still 8/8 non-zero: stays dense");
+        assert!(matches!(row, IntRow::Dense(_)), "still 8/8 non-zero: stays dense");
         // Cancel six of the eight entries (add back +1 on columns 1..=6).
-        let cancel = dense(&[0, 1, 1, 1, 1, 1, 1, 0]);
-        row.eliminate(&r(-1), &cancel, usize::MAX);
+        eliminate(&mut row, 1, -1, &int(&[0, 1, 1, 1, 1, 1, 1, 0]), usize::MAX);
         assert_eq!(row.nnz(), 2);
-        assert!(matches!(row, Row::Dense(_)), "eliminate alone must not convert dense rows");
+        assert!(matches!(row, IntRow::Dense(_)), "eliminate alone must not convert dense rows");
         assert!(!row.representation_is_canonical());
         row.resparsify();
-        assert!(matches!(row, Row::Sparse(_)), "receded fill-in must re-sparsify");
+        assert!(matches!(row, IntRow::Sparse(_)), "receded fill-in must re-sparsify");
         assert!(row.representation_is_canonical());
-        assert_eq!(row.to_dense_vec(), dense(&[1, 0, 0, 0, 0, 0, 0, -1]).to_dense_vec());
+        assert_eq!(row.to_dense_vec(), int(&[1, 0, 0, 0, 0, 0, 0, -1]).to_dense_vec());
         // Idempotent on sparse rows.
         row.resparsify();
-        assert!(matches!(row, Row::Sparse(_)));
+        assert!(matches!(row, IntRow::Sparse(_)));
     }
 
     #[test]

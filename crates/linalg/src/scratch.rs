@@ -1,20 +1,17 @@
-//! Recycled scratch buffers for the LP kernels — the linalg layer of the
+//! Recycled scratch buffers for the LP kernel — the linalg layer of the
 //! workspace's scratch-memory discipline.
 //!
-//! Both phase-1 kernels ([`crate::simplex`] and [`crate::bareiss`]) used to
-//! allocate their whole working set per call: the standard-form construction
-//! vectors (entry staging, rhs, basis, artificial flags), one `in_basis`
-//! bitmap plus one `reduced`-cost vector **per pivot**, and a fresh merge
-//! output for every sparse elimination. On the per-probe hot loop of the
+//! A phase-1 run of [`crate::bareiss`] needs a whole working set per call:
+//! the standard-form construction vectors (entry staging, rhs, basis,
+//! artificial flags), one `in_basis` bitmap plus one `reduced`-cost vector
+//! **per pivot**, and a merge output for every sparse elimination. On the per-probe hot loop of the
 //! containment decider those calls happen thousands of times per pair with
 //! near-identical shapes, so all of that capacity is recyclable.
 //!
-//! [`KernelScratch`] owns those buffers for one coefficient type and
-//! [`LpScratch`] bundles the rational and integer instantiations so a caller
-//! can switch `--lp-route` without re-warming. [`RowPool`] recycles the
-//! sparse entry vectors that back [`GenRow::Sparse`] rows — tableau rows
-//! are torn back down into their entry storage at the next
-//! `KernelScratch::reset` instead of being dropped.
+//! [`LpScratch`] owns those buffers. [`RowPool`] recycles the sparse entry
+//! vectors that back [`GenRow::Sparse`] rows — tableau rows are torn back
+//! down into their entry storage at the next reset instead of being
+//! dropped.
 //!
 //! Reuse is **capacity-only**: every buffer is cleared before use, so a
 //! kernel run through a warmed scratch performs bit-identical arithmetic
@@ -25,9 +22,9 @@
 //! allocation) bumps `alloc.scratch.spills`, and every return to the pool
 //! records the pool's high-water mark in `alloc.pool.rows.hwm`.
 
-use dioph_arith::{Integer, Natural, Rational};
+use dioph_arith::{Integer, Natural};
 
-use crate::row::{sparse_is_worth_it, Coeff, GenRow, GenSparseRow};
+use crate::row::{sparse_is_worth_it, Coeff, GenRow, GenSparseRow, IntRow};
 
 /// A pool of sparse-row entry vectors: spent rows are torn down into their
 /// `Vec<(usize, T)>` storage and handed back out, cleared, with their
@@ -105,56 +102,54 @@ pub(crate) fn auto_pooled<T: Coeff>(
     }
 }
 
-/// The per-call working set of one phase-1 kernel, with every buffer
-/// recycled across calls. `T` is the tableau coefficient type:
-/// [`Rational`] for [`crate::simplex`], [`Integer`] for [`crate::bareiss`]
-/// (which additionally uses the per-row denominators in `dens`).
-#[derive(Debug)]
-pub struct KernelScratch<T> {
+/// One scratch per worker: the per-call working set of the phase-1 kernel,
+/// with every buffer recycled across calls.
+///
+/// Its row pool ([`LpScratch::int_pool`]) is also the recycling home for
+/// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows — the
+/// MPI layer builds its systems from the same storage the kernel draws on.
+#[derive(Debug, Default)]
+pub struct LpScratch {
     /// Standard-form construction: which rows need an artificial variable.
     pub(crate) needs_artificial: Vec<bool>,
     /// Standard-form construction: entry vectors staged between the two
     /// construction passes (drained into `rows` once the artificial count
     /// is known).
-    pub(crate) staged: Vec<Vec<(usize, T)>>,
+    pub(crate) staged: Vec<Vec<(usize, Integer)>>,
     /// The tableau rows.
-    pub(crate) rows: Vec<GenRow<T>>,
+    pub(crate) rows: Vec<IntRow>,
     /// The right-hand sides.
-    pub(crate) rhs: Vec<T>,
-    /// Per-row denominators (fraction-free kernel only).
+    pub(crate) rhs: Vec<Integer>,
+    /// Per-row positive denominators: row `i` represents `rows[i] / dens[i]`.
     pub(crate) dens: Vec<Natural>,
     /// The current basis, one column index per row.
     pub(crate) basis: Vec<usize>,
     /// Per-pivot bitmap of basic columns (hoisted out of the pivot loop).
     pub(crate) in_basis: Vec<bool>,
     /// Per-pivot reduced-cost vector (hoisted out of the pivot loop).
-    pub(crate) reduced: Vec<Rational>,
+    pub(crate) reduced: Vec<Integer>,
     /// Spare output buffer for the sparse elimination merge; after each
     /// merge it holds the eliminated row's previous entries, ready for the
     /// next one.
-    pub(crate) merge_buf: Vec<(usize, T)>,
+    pub(crate) merge_buf: Vec<(usize, Integer)>,
     /// Recycled entry storage backing the sparse rows above.
-    pub(crate) pool: RowPool<T>,
+    pub(crate) pool: RowPool<Integer>,
 }
 
-impl<T> Default for KernelScratch<T> {
-    fn default() -> Self {
-        KernelScratch {
-            needs_artificial: Vec::new(),
-            staged: Vec::new(),
-            rows: Vec::new(),
-            rhs: Vec::new(),
-            dens: Vec::new(),
-            basis: Vec::new(),
-            in_basis: Vec::new(),
-            reduced: Vec::new(),
-            merge_buf: Vec::new(),
-            pool: RowPool::default(),
-        }
+impl LpScratch {
+    /// A cold scratch; buffers warm up over the first call and are recycled
+    /// from then on.
+    pub fn new() -> Self {
+        Self::default()
     }
-}
 
-impl<T: Coeff> KernelScratch<T> {
+    /// The shared integer entry pool, for callers that build
+    /// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows out
+    /// of recycled storage.
+    pub fn int_pool(&mut self) -> &mut RowPool<Integer> {
+        &mut self.pool
+    }
+
     /// Clears every buffer for a new kernel run, tearing the previous run's
     /// rows back down into the pool. Capacity is kept everywhere.
     pub(crate) fn reset(&mut self) {
@@ -173,38 +168,9 @@ impl<T: Coeff> KernelScratch<T> {
     }
 }
 
-/// One scratch per worker: both kernel instantiations plus the shared
-/// integer row pool, so a single warmed value serves every `--lp-route`.
-///
-/// The integer pool ([`LpScratch::int_pool`]) is also the recycling home
-/// for [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows —
-/// the MPI layer builds its systems from the same storage the fraction-free
-/// kernel draws on.
-#[derive(Debug, Default)]
-pub struct LpScratch {
-    pub(crate) rational: KernelScratch<Rational>,
-    pub(crate) integer: KernelScratch<Integer>,
-}
-
-impl LpScratch {
-    /// A cold scratch; buffers warm up over the first call and are recycled
-    /// from then on.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// The shared integer entry pool, for callers that build
-    /// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows out
-    /// of recycled storage.
-    pub fn int_pool(&mut self) -> &mut RowPool<Integer> {
-        &mut self.integer.pool
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::IntRow;
 
     #[test]
     fn pool_round_trips_sparse_entry_storage() {
@@ -248,7 +214,7 @@ mod tests {
 
     #[test]
     fn reset_reclaims_rows_and_staged_entries() {
-        let mut scratch: KernelScratch<Integer> = KernelScratch::default();
+        let mut scratch = LpScratch::default();
         scratch.staged.push(vec![(0, Integer::one())]);
         scratch.rows.push(IntRow::sparse(4, vec![(2, Integer::from(5))]));
         scratch.rhs.push(Integer::one());

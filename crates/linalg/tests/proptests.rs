@@ -1,17 +1,19 @@
 //! Property-based tests for the feasibility engines.
 //!
 //! The central invariants:
-//! * Fourier–Motzkin and the exact simplex agree on feasibility of strict
-//!   homogeneous systems (the shape produced by the paper's Theorem 4.1);
+//! * the Fourier–Motzkin oracle and the exact fraction-free simplex agree on
+//!   feasibility of strict homogeneous systems (the shape produced by the
+//!   paper's Theorem 4.1);
 //! * every witness returned actually satisfies the system it was asked about;
 //! * natural witnesses scale correctly from rational ones;
-//! * dense and sparse [`Row`] inputs drive the simplex to identical outcomes
-//!   (the pivot order under Bland's rule is representation-independent).
+//! * dense and sparse [`IntRow`] inputs drive the simplex to identical
+//!   outcomes (the pivot order under Bland's rule is
+//!   representation-independent).
 
 use dioph_arith::{Integer, Rational};
 use dioph_linalg::{
-    bareiss, simplex, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation,
-    Row, StrictHomogeneousSystem,
+    bareiss, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation, Row,
+    SimplexOutcome, StrictHomogeneousSystem,
 };
 use proptest::prelude::*;
 
@@ -68,12 +70,7 @@ proptest! {
     /// Natural witnesses must satisfy the system (both engines).
     #[test]
     fn natural_witnesses_are_valid(sys in shs_strategy()) {
-        for engine in [
-            FeasibilityEngine::Simplex,
-            FeasibilityEngine::Bareiss,
-            FeasibilityEngine::Auto,
-            FeasibilityEngine::FourierMotzkin,
-        ] {
+        for engine in [FeasibilityEngine::Simplex, FeasibilityEngine::FourierMotzkin] {
             if let Some(w) = sys.natural_solution(engine).unwrap() {
                 prop_assert_eq!(w.len(), sys.dimension());
                 prop_assert!(sys.is_satisfied_by_naturals(&w), "{:?} gave invalid witness {:?} for {:?}", engine, w, sys);
@@ -117,27 +114,15 @@ proptest! {
     #[test]
     fn simplex_outcome_is_representation_independent(sys in shs_strategy()) {
         let dim = sys.dimension();
-        let dense_rows: Vec<Row> = sys
-            .rows()
-            .iter()
-            .map(|row| Row::dense(row.to_dense_vec().iter().map(Rational::from).collect()))
-            .collect();
-        let b = vec![Rational::one(); sys.len()];
-        let from_dense = simplex::feasible_point_rows(dim, dense_rows, b.clone()).unwrap();
-        let from_sparse = simplex::feasible_point_rows(dim, sys.to_sparse_rows(), b).unwrap();
-        prop_assert_eq!(&from_dense, &from_sparse, "representations diverged on {:?}", sys);
-        // And both agree with the public front door.
-        prop_assert_eq!(
-            &from_dense,
-            &simplex::feasible_point(
-                &sys.rows()
-                    .iter()
-                    .map(|row| row.to_dense_vec().iter().map(Rational::from).collect::<Vec<_>>())
-                    .collect::<Vec<_>>(),
-                &vec![Rational::one(); sys.len()],
-            )
-            .unwrap()
-        );
+        let dense_rows: Vec<IntRow> =
+            sys.rows().iter().map(|row| IntRow::dense(row.to_dense_vec())).collect();
+        let b = vec![Integer::one(); sys.len()];
+        let from_dense = bareiss::feasible_point_int(dim, dense_rows, b.clone()).unwrap();
+        let from_stored = bareiss::feasible_point_int(dim, sys.rows().to_vec(), b).unwrap();
+        prop_assert_eq!(&from_dense, &from_stored, "representations diverged on {:?}", sys);
+        // And both agree with the scratch-threaded front door.
+        let front = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
+        prop_assert_eq!(from_dense.witness().map(<[Rational]>::to_vec), front);
     }
 
     /// Row combination (the FM kernel) matches its dense reference for any
@@ -177,24 +162,31 @@ proptest! {
         }
     }
 
-    /// The fraction-free (Bareiss) route must reproduce the rational
-    /// simplex **exactly**: same verdict, same witness, on every system.
-    /// This is the invariant that keeps `--lp-route bareiss` certificates
-    /// byte-identical.
+    /// The rational witness is exact: it satisfies the strict system itself
+    /// (not just a rounded copy), and its verdict is the Fourier–Motzkin
+    /// oracle's.
     #[test]
-    fn bareiss_route_is_bit_identical_to_rational_simplex(sys in shs_strategy()) {
-        let simplex_route = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        let bareiss_route = sys.rational_solution(FeasibilityEngine::Bareiss).unwrap();
-        prop_assert_eq!(&simplex_route, &bareiss_route, "routes diverged on {:?}", sys);
-        let auto_route = sys.rational_solution(FeasibilityEngine::Auto).unwrap();
-        prop_assert_eq!(&simplex_route, &auto_route, "auto diverged on {:?}", sys);
+    fn simplex_rational_witness_is_exact(sys in shs_strategy()) {
+        let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
+        prop_assert_eq!(
+            witness.is_some(),
+            sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap(),
+            "verdict diverged from the oracle on {:?}", sys
+        );
+        if let Some(w) = witness {
+            prop_assert!(sys.to_linear_system().is_satisfied_by(&w), "{:?} misses {:?}", w, sys);
+        }
     }
 
-    /// The identity holds where cross-multiplied pivot values no longer fit
-    /// the inline `i64` variant: coefficients near 2^40 force products past
+    /// Exactness holds where cross-multiplied pivot values no longer fit the
+    /// inline `i64` variant: coefficients near 2^40 force products past
     /// 2^80, so the hybrid Integer must promote (and the gcd normalisation
-    /// must not lose exactness on the way back down). Run on the raw
-    /// kernels to also pin the witness at non-homogeneous right-hand sides.
+    /// must not lose exactness on the way back down). Scaling every unknown's
+    /// column by `s > 0` is a change of variables `x = y / s` that Bland's
+    /// rule cannot see (reduced-cost signs and per-column ratio orders are
+    /// scale-invariant), so the scaled run must return the small run's
+    /// witness divided by `s` — on general right-hand sides, through the raw
+    /// kernel.
     #[test]
     fn bareiss_exact_division_survives_the_word_boundary(
         base in proptest::collection::vec(proptest::collection::vec(-5i64..=5, 3), 1..5),
@@ -202,50 +194,60 @@ proptest! {
         shift in 30u32..45,
     ) {
         let rows = base.len().min(b.len());
-        let scale = 1i64 << shift;
-        let int_rows: Vec<IntRow> = base[..rows]
-            .iter()
-            .map(|row| {
-                IntRow::from_dense_auto(
-                    &row.iter().map(|&v| Integer::from(v) * Integer::from(scale)).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
-        let rat_rows: Vec<Row> = base[..rows]
-            .iter()
-            .map(|row| {
-                Row::from_dense_auto(
-                    &row.iter().map(|&v| Rational::from(v as i128 * scale as i128)).collect::<Vec<_>>(),
-                )
-            })
-            .collect();
+        let scale = Integer::from(1i64 << shift);
+        let int_rows = |factor: &Integer| -> Vec<IntRow> {
+            base[..rows]
+                .iter()
+                .map(|row| {
+                    IntRow::from_dense_auto(
+                        &row.iter().map(|&v| Integer::from(v) * factor.clone()).collect::<Vec<_>>(),
+                    )
+                })
+                .collect()
+        };
         let b_int: Vec<Integer> = b[..rows].iter().map(|&v| Integer::from(v)).collect();
-        let b_rat: Vec<Rational> = b[..rows].iter().map(|&v| Rational::from(v)).collect();
-        let fraction_free = bareiss::feasible_point_int(3, int_rows, b_int).unwrap();
-        let rational = simplex::feasible_point_rows(3, rat_rows, b_rat).unwrap();
-        prop_assert_eq!(fraction_free, rational);
+        let small = bareiss::feasible_point_int(3, int_rows(&Integer::one()), b_int.clone()).unwrap();
+        let wide = bareiss::feasible_point_int(3, int_rows(&scale), b_int).unwrap();
+        let expected = match small {
+            SimplexOutcome::Feasible(x) => {
+                let s = Rational::from(scale);
+                SimplexOutcome::Feasible(x.iter().map(|v| v / &s).collect())
+            }
+            SimplexOutcome::Infeasible => SimplexOutcome::Infeasible,
+        };
+        prop_assert_eq!(wide, expected);
     }
 
     /// The dense/sparse representation stays canonical through elimination:
-    /// `eliminate` densifies past the threshold, and `resparsify` (the pivot
+    /// `eliminate_fraction_free` densifies past the threshold, and `resparsify` (the pivot
     /// boundary call) brings receded rows back — the ratchet releases.
     #[test]
     fn row_representation_stays_canonical_under_elimination(
         target in proptest::collection::vec(-3i64..=3, 4..12),
-        srcs in proptest::collection::vec((proptest::collection::vec(-3i64..=3, 4..12), -2i64..=2), 1..6),
+        srcs in proptest::collection::vec(
+            (proptest::collection::vec(-3i64..=3, 4..12), 1i64..=3, -2i64..=2),
+            1..6,
+        ),
     ) {
         let dim = target.len();
-        let mut row = Row::from_dense_auto(
-            &target.iter().map(|&v| Rational::from(v)).collect::<Vec<_>>(),
+        let mut row = IntRow::from_dense_auto(
+            &target.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>(),
         );
         prop_assert!(row.representation_is_canonical());
-        for (src, factor) in srcs {
+        let mut spare = Vec::new();
+        for (src, pivot, factor) in srcs {
             let mut padded = src;
             padded.resize(dim, 0);
-            let src_row = Row::from_dense_auto(
-                &padded.iter().map(|&v| Rational::from(v)).collect::<Vec<_>>(),
+            let src_row = IntRow::from_dense_auto(
+                &padded.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>(),
             );
-            row.eliminate(&Rational::from(factor), &src_row, usize::MAX);
+            row.eliminate_fraction_free(
+                &Integer::from(pivot),
+                &Integer::from(factor),
+                &src_row,
+                usize::MAX,
+                &mut spare,
+            );
             row.resparsify();
             prop_assert!(
                 row.representation_is_canonical(),

@@ -150,12 +150,16 @@ mod tests {
     #[test]
     fn disabled_spans_record_nothing() {
         // The suite shares process-global state: assert on deltas, and only
-        // while timing stays off (other tests may enable it briefly).
+        // for a span opened while timing was off (another test may enable
+        // it briefly; no other test records Merge spans). The guard itself
+        // says whether it was opened disabled, so there is no window
+        // between checking the flag and opening the span.
         let before = snapshot();
-        if timing_enabled() {
+        let merge = span(Phase::Merge);
+        if merge.start.is_some() {
             return;
         }
-        drop(span(Phase::Merge));
+        drop(merge);
         let delta = since(&snapshot(), &before);
         assert_eq!(delta[5].calls, 0, "a disabled span must not count");
     }

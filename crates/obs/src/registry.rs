@@ -10,11 +10,12 @@
 //!
 //! Counters carry a [`Stability`] class. `Deterministic` counters are a pure
 //! function of the input stream and the selected algorithm — invariant
-//! across `--jobs` and `--lp-route` — and may appear in byte-stable output.
-//! `Volatile` counters depend on the LP route (the arith fast-path tallies,
-//! the per-kernel pivot counts) or on thread scheduling (cache hit/miss
-//! splits under racing workers, probe claims) and must never be emitted into
-//! output that is pinned byte-identical across those knobs.
+//! across `--jobs` — and may appear in byte-stable output. `Volatile`
+//! counters measure implementation work (the arith fast-path tallies, the
+//! LP kernel's pivots) or depend on thread scheduling (probes racing
+//! workers decide past the first failing one, cache hit/miss splits, probe
+//! claims) and must never be emitted into output that is pinned
+//! byte-identical across `--jobs`.
 
 use core::sync::atomic::{AtomicU64, Ordering};
 
@@ -22,11 +23,10 @@ use core::sync::atomic::{AtomicU64, Ordering};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Stability {
     /// A pure function of (input, algorithm, semantics): byte-identical
-    /// across `--jobs` and `--lp-route`. Safe to embed in deterministic
-    /// output.
+    /// across `--jobs`. Safe to embed in deterministic output.
     Deterministic,
-    /// Depends on the LP route or on thread scheduling; compare only
-    /// statistically.
+    /// Measures implementation work or depends on thread scheduling;
+    /// compare only statistically.
     Volatile,
 }
 
@@ -294,13 +294,6 @@ pub static LP_FM_ELIMINATIONS: Counter = Counter::new(
     C,
     "variables eliminated by the Fourier-Motzkin engine",
 );
-/// Rational simplex pivots.
-pub static LP_SIMPLEX_PIVOTS: Counter = Counter::new(
-    "lp.simplex.pivots",
-    Vol,
-    C,
-    "pivot iterations of the exact rational phase-1 simplex",
-);
 /// Queries parsed.
 pub static PARSE_QUERIES: Counter =
     Counter::new("parse.queries", Det, C, "datalog queries parsed from input sources");
@@ -308,7 +301,7 @@ pub static PARSE_QUERIES: Counter =
 /// Every registry cell, sorted by name (the sort is pinned by a test, so
 /// snapshot iteration — and therefore every rendered counter block — is in
 /// stable name order).
-static COUNTERS: [&Counter; 30] = [
+static COUNTERS: [&Counter; 29] = [
     &ALLOC_HEAP_ALLOCS,
     &ALLOC_MONOMIAL_INLINE,
     &ALLOC_MONOMIAL_SPILLS,
@@ -337,7 +330,6 @@ static COUNTERS: [&Counter; 30] = [
     &LP_BAREISS_PIVOTS,
     &LP_FEASIBILITY_CALLS,
     &LP_FM_ELIMINATIONS,
-    &LP_SIMPLEX_PIVOTS,
     &PARSE_QUERIES,
 ];
 
@@ -426,10 +418,10 @@ mod tests {
         // Deltas of this test's own events: tests share the process, so
         // absolute values are off-limits.
         let before = snapshot();
-        LP_SIMPLEX_PIVOTS.add(3);
+        LP_FM_ELIMINATIONS.add(3);
         ENGINE_BATCH_QUEUE_DEPTH_MAX.record_max(u64::MAX);
         let delta = snapshot().since(&before);
-        assert!(delta.get("lp.simplex.pivots").unwrap() >= 3);
+        assert!(delta.get("lp.fm.eliminations").unwrap() >= 3);
         // The gauge reports the watermark itself, not a difference.
         assert_eq!(delta.get("engine.batch.queue_depth.max"), Some(u64::MAX));
         assert_eq!(delta.get("no.such.counter"), None);

@@ -45,7 +45,7 @@ use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
 use dioph_containment::{
     bag_set_containment, json, set_containment, Algorithm, BagContainment, BagContainmentDecider,
-    CompiledPair, ContainmentError, FeasibilityEngine, SetContainment,
+    CompiledPair, ContainmentError, SetContainment,
 };
 use dioph_cq::{parse_program_spanned, parse_query, Atom, ConjunctiveQuery, SpannedQuery, Term};
 use dioph_engine::{DecisionEngine, EngineConfig, JobReader, Verdict};
@@ -111,13 +111,6 @@ OPTIONS (decide, equiv, batch, bench):
                          containment (the paper's Section 3 remark).
     --algorithm <NAME>   most-general (default) | all-probes | guess-check
     --budget <N>         Enumeration budget for guess-check (default 1000000).
-    --engine <NAME>      simplex (default) | fourier-motzkin
-    --lp-route <NAME>    Pivot arithmetic of the simplex engine:
-                         simplex (default, exact rationals) | bareiss
-                         (fraction-free integers — the route for systems
-                         whose pivot values outgrow machine words) | auto
-                         (picks per system). Verdicts, witnesses and JSON
-                         certificates are byte-identical for every route.
     --jobs <N>           Worker threads (default 1). Every mode schedules
                          (pair, probe-index) units from one shared queue;
                          batch lets the pool drain each pair's probe space
@@ -127,9 +120,9 @@ OPTIONS (decide, equiv, batch, bench):
                          output: a human table, or a \"metrics\" member on
                          --json envelopes (batch emits one trailing
                          {\"metrics\":...} line). Deterministic counters are
-                         identical for any --jobs and --lp-route choice;
-                         timings and per-worker figures are labelled
-                         volatile. `verify` acknowledges the block.
+                         identical for any --jobs choice; timings and
+                         per-worker figures are labelled volatile. `verify`
+                         acknowledges the block.
     --trace-out <FILE>   Write a Chrome trace-event JSON timeline of the
                          pipeline phases (parse, check, compile, probe, LP,
                          merge) with one track per worker thread; load it in
@@ -163,9 +156,9 @@ OPTIONS (fuzz):
                          name, consecutive pairs) instead of generating.
     --inject <BUG>       Self-test: corrupt the decider with flip-verdict or
                          tamper-certificate and prove the oracle catches it.
-    --lp-route <NAME>    As for decide; the report is byte-identical across
-                         routes and --jobs values by construction.
-    --jobs <N>           Worker threads for the probe pool (default 1).
+    --jobs <N>           Worker threads for the probe pool (default 1); the
+                         report is byte-identical across values by
+                         construction.
     --json               Machine-readable report; `diophantus verify`
                          re-checks its certificates and shrunk witnesses.
     --metrics            As for decide: counters on the report (a \"metrics\"
@@ -334,8 +327,6 @@ struct DecideOpts {
     semantics: Semantics,
     algorithm: Algorithm,
     algorithm_name: &'static str,
-    engine: FeasibilityEngine,
-    engine_name: &'static str,
     json: bool,
     repeat: usize,
     repeat_set: bool,
@@ -350,7 +341,7 @@ struct DecideOpts {
 impl DecideOpts {
     /// The engine configuration these options select.
     fn engine_config(&self) -> EngineConfig {
-        EngineConfig { jobs: self.jobs, algorithm: self.algorithm, engine: self.engine }
+        EngineConfig { jobs: self.jobs, algorithm: self.algorithm, ..EngineConfig::default() }
     }
 }
 
@@ -368,10 +359,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
     let mut algorithm_set = false;
     let mut budget = DEFAULT_BUDGET;
     let mut budget_set = false;
-    let mut engine_name = "simplex".to_string();
-    let mut engine_set = false;
-    let mut route_name = "simplex".to_string();
-    let mut route_set = false;
     let mut json = false;
     let mut repeat = DEFAULT_REPEAT;
     let mut repeat_set = false;
@@ -406,14 +393,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
                 })?;
                 budget_set = true;
             }
-            "--engine" => {
-                engine_name = next_value(&mut it, "--engine")?;
-                engine_set = true;
-            }
-            "--lp-route" => {
-                route_name = next_value(&mut it, "--lp-route")?;
-                route_set = true;
-            }
             "--repeat" => {
                 repeat = parse_count(&next_value(&mut it, "--repeat")?, "--repeat")?;
                 repeat_set = true;
@@ -430,8 +409,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
     if semantics != Semantics::Bag {
         for (set, flag) in [
             (algorithm_set, "--algorithm"),
-            (engine_set, "--engine"),
-            (route_set, "--lp-route"),
             (budget_set, "--budget"),
             (jobs_set, "--jobs"),
             // The observability layer instruments the bag pipeline; the set
@@ -465,35 +442,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
             )))
         }
     };
-    let (mut engine, engine_name) = match engine_name.as_str() {
-        "simplex" => (FeasibilityEngine::Simplex, "simplex"),
-        "fourier-motzkin" | "fm" => (FeasibilityEngine::FourierMotzkin, "fourier-motzkin"),
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown engine '{other}' (expected simplex or fourier-motzkin)"
-            )))
-        }
-    };
-    // The LP route refines the simplex engine (rational vs fraction-free
-    // pivoting); it has no meaning for Fourier–Motzkin. Verdicts and JSON
-    // output are byte-identical across routes, so the envelope keeps
-    // reporting the engine family ("simplex"), not the route.
-    if route_set && engine == FeasibilityEngine::FourierMotzkin {
-        return Err(CliError::Usage(
-            "--lp-route selects the simplex pivot arithmetic; drop --engine fourier-motzkin"
-                .to_string(),
-        ));
-    }
-    match route_name.as_str() {
-        "simplex" | "rational" => {}
-        "bareiss" | "fraction-free" => engine = FeasibilityEngine::Bareiss,
-        "auto" => engine = FeasibilityEngine::Auto,
-        other => {
-            return Err(CliError::Usage(format!(
-                "unknown LP route '{other}' (expected simplex, bareiss or auto)"
-            )))
-        }
-    }
     if repeat == 0 {
         return Err(CliError::Usage("--repeat must be at least 1".to_string()));
     }
@@ -504,8 +452,6 @@ fn parse_decide_opts(args: &[String]) -> Result<DecideOpts, CliError> {
         semantics,
         algorithm,
         algorithm_name,
-        engine,
-        engine_name,
         json,
         repeat,
         repeat_set,
@@ -550,8 +496,8 @@ fn start_observability(metrics: bool, trace_out: Option<&str>) -> MetricsBaselin
 /// Renders the `"metrics"` envelope member. The `"counters"` block holds
 /// exactly the [`Deterministic`](dioph_obs::Stability::Deterministic)
 /// registry cells — a pure function of the input and the algorithm,
-/// byte-identical across `--jobs` and `--lp-route` (pinned by tests).
-/// Everything route- or scheduling-dependent lands in `"volatile"`,
+/// byte-identical across `--jobs` (pinned by tests). Implementation work
+/// and everything scheduling-dependent lands in `"volatile"`,
 /// `"phases"` and `"workers"`, which `verify` checks structurally only.
 fn metrics_json(baseline: &MetricsBaseline) -> String {
     let registry = dioph_obs::snapshot().since(&baseline.registry);
@@ -751,9 +697,7 @@ impl DecideBackend {
         if opts.jobs > 1 {
             DecideBackend::Parallel(DecisionEngine::new(opts.engine_config()))
         } else {
-            DecideBackend::Sequential(
-                BagContainmentDecider::new(opts.algorithm).with_engine(opts.engine),
-            )
+            DecideBackend::Sequential(BagContainmentDecider::new(opts.algorithm))
         }
     }
 
@@ -950,10 +894,9 @@ fn cmd_decide(args: &[String], stdin: &mut dyn Read, mutual: bool) -> CliResult 
         };
         Ok(format!(
             "{{\"command\":\"{command}\",\"semantics\":\"{}\",\"algorithm\":\"{}\",\
-             \"engine\":\"{}\",\"pairs\":[{}]{metrics}}}\n",
+             \"engine\":\"simplex\",\"pairs\":[{}]{metrics}}}\n",
             opts.semantics.name(),
             opts.algorithm_name,
-            opts.engine_name,
             json_pairs.join(",")
         ))
     } else {
@@ -1778,19 +1721,6 @@ fn parse_fuzz_opts(args: &[String]) -> Result<FuzzOpts, CliError> {
                 config.samples = parse_count(&next_value(&mut it, "--samples")?, "--samples")?;
             }
             "--jobs" => config.jobs = parse_count(&next_value(&mut it, "--jobs")?, "--jobs")?,
-            "--lp-route" => {
-                let route = next_value(&mut it, "--lp-route")?;
-                config.engine = match route.as_str() {
-                    "simplex" | "rational" => FeasibilityEngine::Simplex,
-                    "bareiss" | "fraction-free" => FeasibilityEngine::Bareiss,
-                    "auto" => FeasibilityEngine::Auto,
-                    other => {
-                        return Err(CliError::Usage(format!(
-                            "unknown LP route '{other}' (expected simplex, bareiss or auto)"
-                        )))
-                    }
-                };
-            }
             "--replay" => replay = Some(next_value(&mut it, "--replay")?),
             "--metrics" => metrics = true,
             "--trace-out" => trace_out = Some(next_value(&mut it, "--trace-out")?),
@@ -2122,7 +2052,7 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
     }
     let baseline = start_observability(opts.metrics, opts.trace_out.as_deref());
     let pairs = into_pairs(load_queries(&opts.files, stdin)?)?;
-    let decider = BagContainmentDecider::new(opts.algorithm).with_engine(opts.engine);
+    let decider = BagContainmentDecider::new(opts.algorithm);
     let mut human = String::new();
     let mut json_pairs: Vec<String> = Vec::new();
     let mut total_ns: u128 = 0;
@@ -2221,7 +2151,7 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
             String::new()
         };
         Ok(format!(
-            "{{\"command\":\"bench\",\"algorithm\":\"{}\",\"engine\":\"{}\",\"repeat\":{},\
+            "{{\"command\":\"bench\",\"algorithm\":\"{}\",\"engine\":\"simplex\",\"repeat\":{},\
              \"total_ns\":{total_ns},\"arith_small_path\":{{\"small_hits\":{},\
              \"big_fallbacks\":{},\"hit_rate\":{hit_rate}}},\
              \"arith_int_path\":{{\"small_hits\":{},\"big_fallbacks\":{},\
@@ -2231,7 +2161,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
              \"monomial_spills\":{},\"scratch_reuses\":{},\"scratch_spills\":{},\
              \"pool_rows_hwm\":{}}},\"pairs\":[{}]{metrics}}}\n",
             opts.algorithm_name,
-            opts.engine_name,
             opts.repeat,
             arith.small_hits,
             arith.big_fallbacks,
@@ -2360,13 +2289,10 @@ mod tests {
     }
 
     #[test]
-    fn decide_supports_all_algorithms_and_engines() {
+    fn decide_supports_all_algorithms() {
         for algorithm in ["most-general", "all-probes", "guess-check"] {
-            for engine in ["simplex", "fourier-motzkin"] {
-                let out =
-                    run_ok(&["decide", "--algorithm", algorithm, "--engine", engine], ACCEPTANCE);
-                assert!(out.contains("contained"), "{algorithm}/{engine}: {out}");
-            }
+            let out = run_ok(&["decide", "--algorithm", algorithm], ACCEPTANCE);
+            assert!(out.contains("contained"), "{algorithm}: {out}");
         }
         let out =
             run_ok(&["decide", "--algorithm", "guess-check", "--budget", "100000"], ACCEPTANCE);
@@ -2454,17 +2380,20 @@ mod tests {
 
     #[test]
     fn bench_json_reports_small_path_hit_rates() {
-        // A pair whose MPI route genuinely reaches the LP (the ACCEPTANCE
-        // pair short-circuits on a zero row before any rational arithmetic).
-        let input = "q(x) <- R^2(x, x). p(x) <- R^3(x, x).";
+        // A pair whose LP genuinely pivots: the ACCEPTANCE pair
+        // short-circuits on a zero row before the kernel runs, and the
+        // contained direction R^2 ⊑ R^3 is refuted by the first optimality
+        // check, before any pivot.
+        let input = "q(x) <- R^3(x, x). p(x) <- R^2(x, x).";
         let out = run_ok(&["bench", "--json", "--repeat", "2"], input);
         assert!(out.contains("\"arith_small_path\":{\"small_hits\":"), "{out}");
         assert!(out.contains("\"big_fallbacks\":"), "{out}");
         assert!(out.contains("\"hit_rate\":"), "{out}");
-        // The acceptance pair routes through the simplex, whose pivots live
-        // on the machine-word path at this size: some hits must be recorded.
+        // The fraction-free kernel's pivot arithmetic (exact divisions and
+        // gcds) lives on the integer machine-word path at this size: some
+        // hits must be recorded.
         let hits: u64 = out
-            .split("\"small_hits\":")
+            .split("\"arith_int_path\":{\"small_hits\":")
             .nth(1)
             .and_then(|rest| rest.split([',', '}']).next())
             .and_then(|n| n.parse().ok())
@@ -2515,50 +2444,6 @@ mod tests {
             other => panic!("alloc.scratch_reuses must be a number, got {other:?}"),
         };
         assert!(reuses > 0.0, "{out}");
-    }
-
-    #[test]
-    fn lp_route_is_output_invariant() {
-        // The fraction-free route must not change a byte of any output mode
-        // (the envelope keeps naming the engine family, not the route).
-        let input = "q(x) <- R^2(x, x). p(x) <- R^3(x, x).\n\
-                     q2(x) <- R(x, x), S(x). p2(x) <- R(x, x).";
-        for command in ["decide", "equiv", "batch"] {
-            let workload =
-                if command == "equiv" { "q(x) <- R^2(x, x). p(x) <- R^3(x, x)." } else { input };
-            for extra in [&[][..], &["--json"][..]] {
-                let mut base = vec![command];
-                base.extend_from_slice(extra);
-                let reference = run_ok(&base, workload);
-                for route in ["simplex", "bareiss", "auto", "fraction-free", "rational"] {
-                    let mut routed = base.clone();
-                    routed.extend_from_slice(&["--lp-route", route]);
-                    assert_eq!(
-                        run_ok(&routed, workload),
-                        reference,
-                        "{command} {extra:?} diverged under --lp-route {route}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn lp_route_usage_errors() {
-        assert!(run_err(&["decide", "--lp-route", "abacus"], "").0);
-        assert!(run_err(&["decide", "--lp-route"], "").0, "--lp-route needs a value");
-        assert!(
-            run_err(&["decide", "--engine", "fourier-motzkin", "--lp-route", "bareiss"], "").0,
-            "the route refines the simplex engine only"
-        );
-        assert!(run_err(&["decide", "--set", "--lp-route", "bareiss"], "").0);
-        assert!(run_err(&["gen", "--lp-route", "bareiss"], "").0, "gen has no LP");
-        // Explicitly restating the default simplex engine is fine.
-        let out = run_ok(
-            &["decide", "--engine", "simplex", "--lp-route", "bareiss"],
-            "q(x) <- R(x, x). p(x) <- R(x, x).",
-        );
-        assert!(out.contains("contained"), "{out}");
     }
 
     #[test]
@@ -2903,14 +2788,16 @@ mod tests {
     fn usage_errors() {
         assert!(run_err(&["frobnicate"], "").0);
         assert!(run_err(&["decide", "--algorithm", "magic"], "").0);
-        assert!(run_err(&["decide", "--engine", "abacus"], "").0);
+        // The LP kernel is not selectable: stale engine/route flags from
+        // older scripts fail loudly instead of being ignored.
+        assert!(run_err(&["decide", "--lp-route", "bareiss"], "").0);
+        assert!(run_err(&["decide", "--engine", "fm"], "").0);
         assert!(run_err(&["gen", "nope"], "").0);
         assert!(run_err(&["gen", "--seed"], "").0);
         assert!(run_err(&["bench", "--set"], "").0);
         assert!(run_err(&["bench", "--repeat", "0"], "").0);
         assert!(run_err(&["decide", "--repeat", "3"], "").0, "--repeat is bench-only");
         assert!(run_err(&["equiv", "--repeat", "3"], "").0, "--repeat is bench-only");
-        assert!(run_err(&["decide", "--set", "--engine", "simplex"], "").0, "set ignores engine");
         assert!(run_err(&["decide", "--set", "--algorithm", "all-probes"], "").0);
         assert!(run_err(&["decide", "--set", "--budget", "9"], "").0);
         assert!(run_err(&["decide", "--budget", "9"], "").0, "budget needs guess-check");
@@ -3033,7 +2920,7 @@ mod tests {
         let spliced = format!(
             "{},\"metrics\":{}}}\n",
             envelope.trim_end().strip_suffix('}').expect("decide envelope is an object"),
-            synthetic_metrics(1, 1, "\"lp.simplex.pivots\":3")
+            synthetic_metrics(1, 1, "\"lp.bareiss.pivots\":3")
         );
         let out = run_ok(&["verify"], &spliced);
         assert!(out.contains("[metrics] metrics block verified"), "{out}");
@@ -3068,7 +2955,7 @@ mod tests {
             "incomplete deterministic block",
         );
         // Negative and fractional counters are not counts.
-        reject(&synthetic_metrics(1, 1, "\"lp.simplex.pivots\":-2"), "negative volatile counter");
+        reject(&synthetic_metrics(1, 1, "\"lp.bareiss.pivots\":-2"), "negative volatile counter");
     }
 
     #[test]
@@ -3121,7 +3008,6 @@ mod tests {
         assert!(out.contains("⊑s"), "{out}");
         // Bag-only engine flags stay rejected under --bag-set.
         assert!(run_err(&["decide", "--bag-set", "--jobs", "2"], "").0);
-        assert!(run_err(&["decide", "--bag-set", "--lp-route", "bareiss"], "").0);
         assert!(run_err(&["decide", "--bag-set", "--algorithm", "all-probes"], "").0);
         assert!(run_err(&["batch", "--bag-set"], "").0, "batch is bag-only");
         assert!(run_err(&["bench", "--bag-set"], "").0, "bench is bag-only");
@@ -3137,21 +3023,17 @@ mod tests {
     }
 
     #[test]
-    fn fuzz_json_is_byte_identical_across_jobs_and_routes() {
+    fn fuzz_json_is_byte_identical_across_jobs() {
         let base = &["fuzz", "--cases", "6", "--seed", "3", "--samples", "8", "--json"];
         let reference = run_ok(base, "");
         assert!(
             reference.starts_with("{\"command\":\"fuzz\",\"seed\":3,\"cases\":6,"),
             "{reference}"
         );
-        for extra in [
-            &["--jobs", "4"][..],
-            &["--lp-route", "bareiss"][..],
-            &["--lp-route", "auto", "--jobs", "2"][..],
-        ] {
+        for jobs in ["2", "4"] {
             let mut args = base.to_vec();
-            args.extend_from_slice(extra);
-            assert_eq!(run_ok(&args, ""), reference, "fuzz --json diverged under {extra:?}");
+            args.extend_from_slice(&["--jobs", jobs]);
+            assert_eq!(run_ok(&args, ""), reference, "fuzz --json diverged under --jobs {jobs}");
         }
     }
 
@@ -3175,7 +3057,7 @@ mod tests {
     fn fuzz_usage_errors() {
         assert!(run_err(&["fuzz", "--cases", "3", "--replay", "dir"], "").0);
         assert!(run_err(&["fuzz", "--inject", "nonsense"], "").0);
-        assert!(run_err(&["fuzz", "--lp-route", "abacus"], "").0);
+        assert!(run_err(&["fuzz", "--lp-route", "bareiss"], "").0, "the LP kernel is fixed");
         assert!(run_err(&["fuzz", "--jobs", "0"], "").0);
         assert!(run_err(&["fuzz", "--max-adom", "0"], "").0);
         assert!(run_err(&["fuzz", "--max-mult", "0"], "").0);

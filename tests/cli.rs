@@ -350,6 +350,13 @@ fn usage_errors_exit_with_2() {
     let out = run(&["frobnicate"], "");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown command"));
+    // The LP kernel is not selectable: stale scripts that still pass the
+    // removed engine/route flags fail loudly.
+    for stale in [&["decide", "--lp-route", "bareiss"][..], &["decide", "--engine", "fm"][..]] {
+        let out = run(stale, "");
+        assert_eq!(out.status.code(), Some(2), "{stale:?}");
+        assert!(String::from_utf8_lossy(&out.stderr).contains("unknown option"), "{stale:?}");
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -418,13 +425,13 @@ fn gen_pipes_into_batch_with_json_lines_identical_across_job_counts() {
 }
 
 #[test]
-fn skewed_batch_stream_is_identical_across_jobs_and_routes() {
+fn skewed_batch_stream_is_identical_across_jobs() {
     // One giant all-probes pair (256 probe tuples) leading a crowd of small
     // pairs, with a broken pair wedged in the middle: the unified scheduler
     // interleaves the giant's probe chunks with the small pairs, and
     // per-pair failures cancel only their own units — the emitted stream
     // (verdicts, error line, order) must stay byte-identical for every
-    // worker count and LP route.
+    // worker count.
     let giant = stdout_of(&["gen", "path", "--count", "1", "--size", "3", "--seed", "11"], "");
     let small = stdout_of(&["gen", "expmap", "--count", "5", "--size", "4", "--seed", "11"], "");
     let input = format!("{giant}broken(x <- oops. pbroken(x) <- R(x, x).\n{small}");
@@ -435,27 +442,14 @@ fn skewed_batch_stream_is_identical_across_jobs_and_routes() {
     assert!(reference_stdout.contains("[2] parse error:"), "{reference_stdout}");
     assert_eq!(reference_stdout.lines().count(), 7, "{reference_stdout}");
     for jobs in ["2", "4"] {
-        for route in ["simplex", "bareiss"] {
-            let out = run(
-                &[
-                    "batch",
-                    "--keep-going",
-                    "--algorithm",
-                    "all-probes",
-                    "--jobs",
-                    jobs,
-                    "--lp-route",
-                    route,
-                ],
-                &input,
-            );
-            assert_eq!(out.status.code(), Some(1), "--jobs {jobs} --lp-route {route}");
-            assert_eq!(
-                String::from_utf8_lossy(&out.stdout),
-                reference_stdout,
-                "skewed batch stream diverged at --jobs {jobs} --lp-route {route}"
-            );
-        }
+        let out =
+            run(&["batch", "--keep-going", "--algorithm", "all-probes", "--jobs", jobs], &input);
+        assert_eq!(out.status.code(), Some(1), "--jobs {jobs}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            reference_stdout,
+            "skewed batch stream diverged at --jobs {jobs}"
+        );
     }
 }
 
@@ -645,13 +639,10 @@ fn lp_iteration_budget_blowout_is_a_per_pair_error_not_a_poisoned_pool() {
     let stderr = String::from_utf8(out.stderr).unwrap();
     assert!(stderr.contains("iteration budget"), "{stderr}");
 
-    // Sanity: the same stream under the default budget succeeds, on both
-    // LP routes.
-    for route in ["simplex", "bareiss"] {
-        let out = stdout_of(&["batch", "--lp-route", route], input);
-        assert_eq!(out.lines().count(), 2, "{route}: {out}");
-        assert!(!out.contains("error"), "{route}: {out}");
-    }
+    // Sanity: the same stream under the default budget succeeds.
+    let out = stdout_of(&["batch"], input);
+    assert_eq!(out.lines().count(), 2, "{out}");
+    assert!(!out.contains("error"), "{out}");
 }
 
 #[test]

@@ -105,7 +105,6 @@ fi
 # the sanctioned home for allocation and is deliberately not listed.
 hot_loop_files="
 crates/linalg/src/row.rs
-crates/linalg/src/simplex.rs
 crates/linalg/src/bareiss.rs
 crates/linalg/src/feasibility.rs
 crates/poly/src/mpi.rs
