@@ -677,7 +677,7 @@ mod tests {
     }
 
     #[test]
-    fn representation_is_canonical_across_the_boundary() {
+    fn canonical_representation_across_the_boundary() {
         // i64 range stays inline even when built through the big door.
         for v in [0i64, 1, -1, i64::MAX, i64::MIN] {
             let via_parts = Integer::from_sign_magnitude(

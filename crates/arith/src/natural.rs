@@ -887,7 +887,7 @@ mod tests {
     }
 
     #[test]
-    fn representation_is_canonical_across_the_boundary() {
+    fn canonical_representation_across_the_boundary() {
         // One-limb values constructed through the limb door must compare and
         // hash equal to the inline form.
         for v in [0u64, 1, 42, u64::MAX] {

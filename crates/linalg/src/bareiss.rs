@@ -50,8 +50,8 @@
 use dioph_arith::{Integer, Natural, Rational};
 
 use crate::error::{iteration_budget, LinalgError};
-use crate::row::{GenRow, IntRow};
-use crate::scratch::{auto_pooled, LpScratch};
+use crate::row::IntRow;
+use crate::scratch::LpScratch;
 
 /// Result of a phase-1 simplex run.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,7 +144,7 @@ pub(crate) fn feasible_point_int_in(
     scratch.reset();
     for (i, (a_row, b_i)) in a.iter().zip(b).enumerate() {
         let mut entries = scratch.pool.take();
-        entries.extend(a_row.iter_nonzero().map(|(col, v)| (col, v.clone())));
+        entries.extend_from_slice(a_row.entries());
         entries.push((n + i, Integer::minus_one()));
         let mut rhs_i = b_i.clone();
         if rhs_i.is_negative() || rhs_i.is_zero() {
@@ -184,7 +184,7 @@ pub(crate) fn feasible_point_scaled_in(
     for (i, a_row) in a.iter().enumerate() {
         debug_assert_eq!(a_row.dim(), n, "row dimension mismatch in simplex input");
         let mut entries = scratch.pool.take();
-        entries.extend(a_row.iter_nonzero().map(|(col, v)| (col, v.clone())));
+        entries.extend_from_slice(a_row.entries());
         entries.push((n + i, Integer::minus_one()));
         // rhs = 1 is positive, so every row starts on an artificial variable
         // (the `b_i > 0` arm of the general construction).
@@ -221,8 +221,7 @@ fn attach_artificials_and_run(
             } else {
                 scratch.basis.push(n + i);
             }
-            let row = auto_pooled(total, entries, &mut scratch.pool);
-            scratch.rows.push(row);
+            scratch.rows.push(IntRow::new(total, entries));
         }
         scratch.staged.clear();
     }
@@ -266,13 +265,13 @@ fn attach_artificials_and_run(
                 continue;
             }
             if *den == lcm {
-                for (j, value) in row.iter_nonzero() {
-                    reduced[j] -= value;
+                for (j, value) in row.entries() {
+                    reduced[*j] -= value;
                 }
             } else {
                 let multiplier = Integer::from(&lcm / den);
-                for (j, value) in row.iter_nonzero() {
-                    reduced[j] -= &(value * &multiplier);
+                for (j, value) in row.entries() {
+                    reduced[*j] -= &(value * &multiplier);
                 }
             }
         }
@@ -364,7 +363,6 @@ fn attach_artificials_and_run(
             rhs[i] = &(&pivot * &rhs[i]) - &(&factor * &rhs[leave]);
             dens[i] = &dens[i] * &pivot.magnitude();
             normalise_row(target_row, &mut rhs[i], &mut dens[i]);
-            target_row.resparsify();
         }
         dens[leave] = pivot.magnitude();
         normalise_row(&mut rows[leave], &mut rhs[leave], &mut dens[leave]);
@@ -378,7 +376,7 @@ fn attach_artificials_and_run(
 /// the row's rational value is untouched.
 fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
     let mut g: Natural = rhs.gcd(&Integer::from(den.clone()));
-    for (_, value) in row.iter_nonzero() {
+    for (_, value) in row.entries() {
         if g.is_one() {
             return;
         }
@@ -389,22 +387,7 @@ fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
     }
     debug_assert!(!g.is_zero(), "a positive denominator keeps the row gcd positive");
     let divisor = Integer::from(g.clone());
-    match row {
-        GenRow::Dense(v) => {
-            for value in v.iter_mut() {
-                if !value.is_zero() {
-                    let taken = core::mem::take(value);
-                    *value = taken.exact_div(&divisor);
-                }
-            }
-        }
-        GenRow::Sparse(s) => {
-            for (_, value) in s.entries.iter_mut() {
-                let taken = core::mem::take(value);
-                *value = taken.exact_div(&divisor);
-            }
-        }
-    }
+    row.exact_div_assign(&divisor);
     *rhs = rhs.exact_div(&divisor);
     *den = &*den / &g;
 }
@@ -416,7 +399,7 @@ mod tests {
     fn int_rows(rows: &[&[i64]]) -> Vec<IntRow> {
         rows.iter()
             .map(|row| {
-                IntRow::from_dense_auto(&row.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>())
+                IntRow::from_dense(&row.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>())
             })
             .collect()
     }
@@ -464,6 +447,39 @@ mod tests {
             run(&[&[2, -3, 1], &[-1, 4, -2], &[3, 1, -5]], &[1, 1, 1]),
             witness(&["15/8", "21/16", "19/16"])
         );
+    }
+
+    #[test]
+    fn tableau_rows_stay_canonical_through_the_pivots() {
+        // After a run the scratch still holds the final tableau: every row
+        // must keep the sparse invariants (strictly increasing columns, no
+        // stored zeros) through eliminations, cancellations and gcd
+        // normalisation — including the word-boundary promotions.
+        let big = 1i64 << 40;
+        let systems: [(&[&[i64]], &[i64]); 3] = [
+            (
+                &[&[1, 1, 1, 1], &[2, -1, 0, 1], &[-1, 2, -1, 1], &[0, 0, 3, -2], &[1, 0, 0, 0]],
+                &[10, 4, 7, 1, 1],
+            ),
+            (&[&[big, -big + 1, 3], &[-big + 3, big, -2], &[1, -2, big]], &[1, 1, 1]),
+            (&[&[2, -3, 1], &[-1, 4, -2], &[3, 1, -5]], &[1, 1, 1]),
+        ];
+        let mut scratch = LpScratch::default();
+        for (rows, b) in systems {
+            let b: Vec<Integer> = b.iter().map(|&v| Integer::from(v)).collect();
+            let outcome =
+                feasible_point_int_in(rows[0].len(), &int_rows(rows), &b, 1_000, &mut scratch);
+            assert!(outcome.unwrap().is_feasible());
+            assert_eq!(scratch.rows.len(), rows.len());
+            for row in &scratch.rows {
+                let entries = row.entries();
+                assert!(entries.windows(2).all(|w| w[0].0 < w[1].0), "unsorted: {entries:?}");
+                assert!(
+                    entries.iter().all(|(col, v)| *col < row.dim() && !v.is_zero()),
+                    "{entries:?}"
+                );
+            }
+        }
     }
 
     #[test]

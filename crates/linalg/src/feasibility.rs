@@ -24,8 +24,8 @@ use dioph_arith::{Integer, Natural, Rational};
 
 use crate::bareiss::{self, SimplexOutcome};
 use crate::error::LinalgError;
-use crate::fourier_motzkin::{self, FmOutcome, UpperForm};
-use crate::row::{IntRow, Row};
+use crate::fourier_motzkin::{self, FmOutcome};
+use crate::row::IntRow;
 use crate::scratch::{LpScratch, RowPool};
 use crate::system::{Constraint, LinearSystem, Relation};
 
@@ -44,8 +44,7 @@ pub enum FeasibilityEngine {
 /// A system `{ rows[i] · ε > 0 }` over non-negative unknowns `ε`.
 ///
 /// Rows have integer coefficients (the exponent differences `e − e_i` of the
-/// paper are integer vectors) and are stored as [`IntRow`]s — sparse while
-/// at most half non-zero, dense past that.
+/// paper are integer vectors) and are stored as sparse [`IntRow`]s.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
 pub struct StrictHomogeneousSystem {
     dimension: usize,
@@ -84,7 +83,7 @@ impl StrictHomogeneousSystem {
     /// Panics if the row length differs from the system dimension.
     pub fn push_row(&mut self, row: Vec<Integer>) {
         assert_eq!(row.len(), self.dimension, "row dimension mismatch");
-        self.rows.push(IntRow::from_dense_auto(&row));
+        self.rows.push(IntRow::from_dense(&row));
     }
 
     /// Adds the strict inequality `row · ε > 0` directly from its non-zero
@@ -93,10 +92,10 @@ impl StrictHomogeneousSystem {
     /// are mostly zeros.
     ///
     /// # Panics
-    /// Panics if the entries violate the sparse-row invariants (see
-    /// [`crate::GenSparseRow::new`]) or mention a column `>= dimension`.
+    /// Panics if the entries violate the row invariants (see
+    /// [`IntRow::new`]) or mention a column `>= dimension`.
     pub fn push_sparse_row(&mut self, entries: Vec<(usize, Integer)>) {
-        self.rows.push(IntRow::auto(self.dimension, entries));
+        self.rows.push(IntRow::new(self.dimension, entries));
     }
 
     /// Adds a row given as `i64` coefficients (convenience).
@@ -110,7 +109,7 @@ impl StrictHomogeneousSystem {
     /// pool rebuilds MPI-derived systems with no fresh row allocations in
     /// the steady state (pair with [`Self::push_sparse_row`] on entries
     /// obtained from [`RowPool::take`]).
-    pub fn reset_with_pool(&mut self, dimension: usize, pool: &mut RowPool<Integer>) {
+    pub fn reset_with_pool(&mut self, dimension: usize, pool: &mut RowPool) {
         self.dimension = dimension;
         for row in self.rows.drain(..) {
             pool.reclaim(row);
@@ -122,33 +121,19 @@ impl StrictHomogeneousSystem {
         assert_eq!(point.len(), self.dimension, "point dimension mismatch");
         self.rows.iter().all(|row| {
             let mut acc = Integer::zero();
-            for (col, coeff) in row.iter_nonzero() {
-                if point[col].is_zero() {
+            for (col, coeff) in row.entries() {
+                if point[*col].is_zero() {
                     continue;
                 }
-                acc += &(coeff * &Integer::from(&point[col]));
+                acc += &(coeff * &Integer::from(&point[*col]));
             }
             acc.is_positive()
         })
     }
 
-    /// One sparse rational [`Row`] per strict inequality: exactly the
-    /// non-zero integer coefficients, as rationals (the Fourier–Motzkin
-    /// input).
-    pub fn to_sparse_rows(&self) -> Vec<Row> {
-        self.rows
-            .iter()
-            .map(|row| {
-                let entries: Vec<(usize, Rational)> =
-                    row.iter_nonzero().map(|(i, c)| (i, Rational::from(c))).collect();
-                Row::sparse(self.dimension, entries)
-            })
-            .collect()
-    }
-
     /// Renders the system as a [`LinearSystem`] with strict rows and explicit
-    /// non-negativity constraints (used by tests and displays; the engines
-    /// themselves run on the stored rows).
+    /// non-negativity constraints: the Fourier–Motzkin oracle's input (the
+    /// simplex runs on the stored rows).
     pub fn to_linear_system(&self) -> LinearSystem {
         let mut sys = LinearSystem::new(self.dimension);
         for row in &self.rows {
@@ -179,9 +164,10 @@ impl StrictHomogeneousSystem {
     /// [`Self::rational_solution`] through a caller-provided scratch: the
     /// simplex draws every working buffer from `scratch` (recycled there
     /// afterwards), so a warmed scratch decides a system with no heap
-    /// allocation beyond the returned witness. Reuse is capacity-only — verdicts and witnesses are bit-identical to the
-    /// fresh-allocation route. The Fourier–Motzkin engine ignores the
-    /// scratch (it is not on any hot path).
+    /// allocation beyond the returned witness. Reuse is capacity-only —
+    /// verdicts and witnesses are bit-identical to the fresh-allocation
+    /// route. The Fourier–Motzkin engine ignores the scratch (it is not on
+    /// any hot path).
     ///
     /// # Errors
     /// As [`Self::rational_solution`].
@@ -196,7 +182,7 @@ impl StrictHomogeneousSystem {
             return Ok(Some(vec![Rational::zero(); self.dimension])); // alloc-ok: returned witness
         }
         // A row of all zeros can never be strictly positive.
-        if self.rows.iter().any(super::row::GenRow::is_zero_row) {
+        if self.rows.iter().any(IntRow::is_zero_row) {
             return Ok(None);
         }
         match engine {
@@ -211,31 +197,9 @@ impl StrictHomogeneousSystem {
             }
             FeasibilityEngine::FourierMotzkin => {
                 // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
-                // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0 — all sparse.
-                let mut forms: Vec<UpperForm> =
-                    Vec::with_capacity(self.rows.len() + self.dimension);
-                for row in self.to_sparse_rows() {
-                    let mut negated = row;
-                    negated.negate();
-                    forms.push(UpperForm {
-                        row: negated,
-                        strict: true,
-                        constant: Rational::zero(),
-                    });
-                }
-                for j in 0..self.dimension {
-                    // alloc-ok: Fourier–Motzkin route, not scratch-threaded
-                    let row = Row::sparse(self.dimension, vec![(j, -Rational::one())]);
-                    forms.push(UpperForm { row, strict: false, constant: Rational::zero() });
-                }
-                match fourier_motzkin::solve_forms(self.dimension, forms) {
-                    FmOutcome::Feasible(x) => {
-                        debug_assert!(
-                            self.to_linear_system().is_satisfied_by(&x),
-                            "FM witness must satisfy the strict system"
-                        );
-                        Ok(Some(x))
-                    }
+                // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0.
+                match fourier_motzkin::solve(&self.to_linear_system()) {
+                    FmOutcome::Feasible(x) => Ok(Some(x)),
                     FmOutcome::Infeasible => Ok(None),
                 }
             }
@@ -421,6 +385,108 @@ mod tests {
     }
 
     #[test]
+    fn e7_witnesses_are_pinned_for_both_engines() {
+        // Systems of the E7 ablation's shape (8 rows, coefficients in
+        // -4..=6), drawn with the bench seed, plus the paper's running
+        // example. Both engines' exact witnesses are pinned literally —
+        // recorded before the row storage was simplified — so a changed
+        // pivot or elimination order cannot go unnoticed.
+        let pinned = |rows: &[&[i64]], fm: Option<&[&str]>, simplex: Option<&[&str]>| {
+            let mut sys = StrictHomogeneousSystem::new(rows[0].len());
+            for row in rows {
+                sys.push_row_i64(row);
+            }
+            let parse = |w: Option<&[&str]>| {
+                w.map(|w| w.iter().map(|c| c.parse().unwrap()).collect::<Vec<Rational>>())
+            };
+            let engine = FeasibilityEngine::FourierMotzkin;
+            assert_eq!(sys.rational_solution(engine).unwrap(), parse(fm), "{rows:?}");
+            let engine = FeasibilityEngine::Simplex;
+            assert_eq!(sys.rational_solution(engine).unwrap(), parse(simplex), "{rows:?}");
+        };
+        pinned(
+            &[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]],
+            Some(&["0", "1", "2/3"]),
+            Some(&["0", "2", "1"]),
+        );
+        pinned(
+            &[&[3, 5], &[1, 6], &[-1, 6], &[-2, 6], &[2, 1], &[4, 0], &[5, 0], &[1, 5]],
+            Some(&["1", "4/3"]),
+            Some(&["1/4", "1/2"]),
+        );
+        pinned(
+            &[
+                &[3, 5, 1],
+                &[6, -1, 6],
+                &[-2, 6, 2],
+                &[1, 4, 0],
+                &[5, 0, 1],
+                &[5, 1, 5],
+                &[-1, 1, -4],
+                &[1, 1, -2],
+            ],
+            Some(&["0", "1", "5/24"]),
+            Some(&["2/5", "7/5", "0"]),
+        );
+        pinned(
+            &[
+                &[6, 3, -1],
+                &[-2, -3, 4],
+                &[1, 2, -1],
+                &[-1, -3, 6],
+                &[6, -3, 2],
+                &[4, 0, -2],
+                &[-3, 2, 1],
+                &[1, -4, 3],
+            ],
+            Some(&["1", "9/8", "107/64"]),
+            Some(&["3/2", "2", "5/2"]),
+        );
+        pinned(
+            &[
+                &[-4, 4, 1, 5],
+                &[-1, -4, 5, -4],
+                &[3, 6, 6, 5],
+                &[4, 1, 5, 6],
+                &[-2, -4, 3, -3],
+                &[-1, 0, 6, 1],
+                &[0, 5, -1, 6],
+                &[-3, 0, -2, 3],
+            ],
+            Some(&["0", "0", "1", "5/6"]),
+            Some(&["0", "0", "2", "5/3"]),
+        );
+        pinned(
+            &[
+                &[6, 3, -1, -2],
+                &[-3, 4, 1, 2],
+                &[-1, -1, -3, 6],
+                &[6, -3, 2, 4],
+                &[0, -2, -3, 2],
+                &[1, 1, -4, 3],
+                &[-2, -1, 6, -2],
+                &[4, -1, 4, 2],
+            ],
+            Some(&["1", "0", "31/28", "223/112"]),
+            Some(&["7/5", "0", "8/5", "29/10"]),
+        );
+        pinned(
+            &[
+                &[0, 5, -1],
+                &[6, -3, 0],
+                &[-2, 3, -4],
+                &[5, -1, 3],
+                &[-2, 0, 3],
+                &[-1, -2, -4],
+                &[2, -3, -1],
+                &[3, -4, -4],
+            ],
+            None,
+            None,
+        );
+    }
+
+    #[test]
     fn kernel_decides_wide_coefficients_and_large_tableaus() {
         // A coefficient past i64: the kernel promotes instead of overflowing,
         // and agrees with the Fourier–Motzkin oracle.
@@ -442,20 +508,15 @@ mod tests {
     }
 
     #[test]
-    fn sparse_rows_mirror_the_integer_rows() {
+    fn dense_and_sparse_pushes_store_the_same_rows() {
         let mut sys = StrictHomogeneousSystem::new(5);
         sys.push_row_i64(&[0, 3, 0, -2, 0]);
-        sys.push_sparse_row(vec![(0, Integer::one())]);
-        let rows = sys.to_sparse_rows();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].nnz(), 2);
-        assert_eq!(rows[0].get(1), Some(&Rational::from(3)));
-        assert_eq!(rows[0].get(3), Some(&Rational::from(-2)));
-        assert_eq!(rows[0].get(0), None);
-        assert_eq!(rows[1].nnz(), 1);
-        // The stored integer rows carry the same values.
-        assert_eq!(sys.rows()[0].get(1), Some(&Integer::from(3)));
-        assert_eq!(sys.rows()[1].get(0), Some(&Integer::one()));
+        sys.push_sparse_row(vec![(1, Integer::from(3)), (3, Integer::from(-2))]);
+        assert_eq!(sys.rows()[0], sys.rows()[1]);
+        assert_eq!(sys.rows()[0].entries(), &[(1, Integer::from(3)), (3, Integer::from(-2))]);
+        let fm_input = sys.to_linear_system();
+        assert_eq!(fm_input.len(), 2 + 5, "two strict rows plus non-negativity");
+        assert_eq!(fm_input.constraints()[0].to_string(), "3*x1 - 2*x3 > 0");
     }
 
     #[test]

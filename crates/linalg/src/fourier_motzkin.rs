@@ -6,40 +6,34 @@
 //! back-substitution. Its worst case is doubly exponential in the number of
 //! variables, which is acceptable for the moderate dimensions arising from
 //! bag-containment instances and invaluable as a cross-check for the exact
-//! simplex engine (see `simplex.rs` and experiment E7).
+//! simplex kernel (see `bareiss.rs` and experiment E7).
 //!
-//! Constraint rows are held behind the shared [`Row`] abstraction: the
-//! normalised upper forms of a strict homogeneous system are sparse (one
-//! entry per unknown mentioned), the pair-combination step is
-//! [`Row::linear_combination`] — the same merge kernel the simplex pivot
-//! uses — and rows only densify when elimination genuinely fills them in.
+//! Constraint rows are plain dense `Vec<Rational>`s, the form
+//! [`Constraint`] already stores: the oracle shares no row code with the
+//! kernel it checks.
 
 use dioph_arith::Rational;
 
-use crate::row::Row;
 use crate::system::{Constraint, LinearSystem, Relation};
 
 /// A constraint normalised to `row · x  ≤/<  constant`.
-#[derive(Clone, Debug)]
-pub(crate) struct UpperForm {
-    pub(crate) row: Row,
-    pub(crate) strict: bool,
-    pub(crate) constant: Rational,
+struct UpperForm {
+    row: Vec<Rational>,
+    strict: bool,
+    constant: Rational,
 }
 
 impl UpperForm {
     /// The normalised negation `-row · x ≤/< -constant` of this form's
     /// underlying `≥/>` reading (helper for building inputs).
-    fn negated(row: &Row, strict: bool, constant: &Rational) -> UpperForm {
-        let mut negated = row.clone();
-        negated.negate();
-        UpperForm { row: negated, strict, constant: -constant }
+    fn negated(row: &[Rational], strict: bool, constant: &Rational) -> UpperForm {
+        UpperForm { row: row.iter().map(|v| -v).collect(), strict, constant: -constant }
     }
 }
 
 /// Normalises an arbitrary constraint into one or two `≤ / <` forms.
 fn normalise(c: &Constraint) -> Vec<UpperForm> {
-    let row = c.to_row();
+    let row = c.coeffs.clone();
     match c.relation {
         Relation::Le => {
             vec![UpperForm { row, strict: false, constant: c.constant.clone() }]
@@ -52,6 +46,28 @@ fn normalise(c: &Constraint) -> Vec<UpperForm> {
             vec![UpperForm { row, strict: false, constant: c.constant.clone() }, flipped]
         }
     }
+}
+
+/// The pair-combination step `a_coeff·a + b_coeff·b`.
+fn linear_combination(
+    a_coeff: &Rational,
+    a: &[Rational],
+    b_coeff: &Rational,
+    b: &[Rational],
+) -> Vec<Rational> {
+    a.iter().zip(b).map(|(x, y)| &(a_coeff * x) + &(b_coeff * y)).collect()
+}
+
+/// The back-substitution dot product `row · point`, skipping the column
+/// `skip` (the variable being solved for).
+fn dot_skip(row: &[Rational], point: &[Rational], skip: usize) -> Rational {
+    let mut acc = Rational::zero();
+    for (col, (coeff, value)) in row.iter().zip(point).enumerate() {
+        if col != skip && !coeff.is_zero() && !value.is_zero() {
+            acc += &(coeff * value);
+        }
+    }
+    acc
 }
 
 /// Bounds recorded when a variable is eliminated, used for back-substitution.
@@ -96,18 +112,7 @@ impl FmOutcome {
 /// debug builds).
 pub fn solve(system: &LinearSystem) -> FmOutcome {
     let dim = system.dimension();
-    let forms: Vec<UpperForm> = system.constraints().iter().flat_map(normalise).collect();
-    let outcome = solve_forms(dim, forms);
-    if let FmOutcome::Feasible(point) = &outcome {
-        debug_assert!(system.is_satisfied_by(point), "FM witness must satisfy the input system");
-    }
-    outcome
-}
-
-/// The elimination engine over pre-normalised upper forms (the feasibility
-/// front-end builds these directly as sparse rows, bypassing the dense
-/// [`LinearSystem`] detour).
-pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome {
+    let mut current: Vec<UpperForm> = system.constraints().iter().flat_map(normalise).collect();
     let mut steps: Vec<EliminationStep> = Vec::with_capacity(dim);
 
     // Eliminate variables from the highest index down to 0.
@@ -116,23 +121,26 @@ pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome 
         let mut uppers = Vec::new();
         let mut rest = Vec::new();
         for c in current {
-            match c.row.get(var) {
-                None => rest.push(c),
-                Some(coeff) if coeff.is_positive() => uppers.push(c),
-                Some(_) => lowers.push(c),
+            let coeff = &c.row[var];
+            if coeff.is_zero() {
+                rest.push(c);
+            } else if coeff.is_positive() {
+                uppers.push(c);
+            } else {
+                lowers.push(c);
             }
         }
         // Combine every (lower, upper) pair.
         for lo in &lowers {
             for up in &uppers {
-                // lo: a·x + l*x_var ≤ cl with l < 0   =>   x_var ≥ (cl - a·x)/l ... careful with signs;
-                // standard combination: multiply `up` by |l| and `lo` by u and add so x_var cancels.
-                let l = lo.row.get(var).expect("lower bound has the variable"); // negative
-                let u = up.row.get(var).expect("upper bound has the variable"); // positive
-                                                                                // combined = u * lo + (-l) * up   (both multipliers positive)
+                // lo: a·x + l·x_var ≤ c_l with l < 0 and up: b·x + u·x_var ≤
+                // c_u with u > 0 combine to u·lo + (−l)·up (both multipliers
+                // positive), in which x_var cancels.
+                let l = &lo.row[var]; // negative
+                let u = &up.row[var]; // positive
                 let minus_l = -l;
-                let row = Row::linear_combination(u, &lo.row, &minus_l, &up.row);
-                debug_assert!(row.get(var).is_none(), "eliminated column must cancel exactly");
+                let row = linear_combination(u, &lo.row, &minus_l, &up.row);
+                debug_assert!(row[var].is_zero(), "eliminated column must cancel exactly");
                 let constant = &(&lo.constant * u) + &(&up.constant * &minus_l);
                 rest.push(UpperForm { row, strict: lo.strict || up.strict, constant });
             }
@@ -144,7 +152,7 @@ pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome 
 
     // All variables eliminated: the remaining constraints are ground.
     for c in &current {
-        debug_assert!(c.row.is_zero_row());
+        debug_assert!(c.row.iter().all(Rational::is_zero));
         let zero = Rational::zero();
         let ok = if c.strict { zero < c.constant } else { zero <= c.constant };
         if !ok {
@@ -161,8 +169,8 @@ pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome 
         // constraints given the already chosen values of lower-indexed vars.
         let mut best_lower: Option<(Rational, bool)> = None; // (bound, strict)
         for lo in &step.lowers {
-            let coeff = lo.row.get(var).expect("lower bound has the variable"); // negative
-            let rest_val = lo.row.dot_skip(&point, var);
+            let coeff = &lo.row[var]; // negative
+            let rest_val = dot_skip(&lo.row, &point, var);
             // coeff * x_var ≤ constant - rest  with coeff < 0
             //   =>  x_var ≥ (constant - rest) / coeff
             let bound = &(&lo.constant - &rest_val) / coeff;
@@ -174,8 +182,8 @@ pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome 
         }
         let mut best_upper: Option<(Rational, bool)> = None;
         for up in &step.uppers {
-            let coeff = up.row.get(var).expect("upper bound has the variable"); // positive
-            let rest_val = up.row.dot_skip(&point, var);
+            let coeff = &up.row[var]; // positive
+            let rest_val = dot_skip(&up.row, &point, var);
             let bound = &(&up.constant - &rest_val) / coeff;
             let candidate = (bound, up.strict);
             best_upper = Some(match best_upper {
@@ -186,6 +194,7 @@ pub(crate) fn solve_forms(dim: usize, mut current: Vec<UpperForm>) -> FmOutcome 
         point[var] = pick_value(best_lower, best_upper);
     }
 
+    debug_assert!(system.is_satisfied_by(&point), "FM witness must satisfy the input system");
     FmOutcome::Feasible(point)
 }
 
@@ -361,6 +370,88 @@ mod tests {
         sys.push(Constraint::from_i64s(&[1, -1], Relation::Gt, 3));
         sys.push_nonnegativity();
         check_feasible(&sys);
+    }
+
+    #[test]
+    fn witnesses_are_pinned_exactly() {
+        // The exact back-substitution witnesses (recorded before the rows
+        // moved to dense storage), not just their validity: a change to
+        // the elimination order or the interval pick shows up here.
+        let system = |dim: usize, rows: &[(&[i64], Relation, i64)], nonnegative: bool| {
+            let mut sys = LinearSystem::new(dim);
+            for &(coeffs, relation, constant) in rows {
+                sys.push(Constraint::from_i64s(coeffs, relation, constant));
+            }
+            if nonnegative {
+                sys.push_nonnegativity();
+            }
+            sys
+        };
+        let witness = |components: &[&str]| -> Vec<Rational> {
+            components.iter().map(|c| c.parse().unwrap()).collect()
+        };
+        use Relation::{Eq, Ge, Gt, Le, Lt};
+        let cases: [(LinearSystem, Vec<Rational>); 7] = [
+            (
+                system(
+                    2,
+                    &[
+                        (&[1, 0], Ge, 1),
+                        (&[1, 0], Le, 3),
+                        (&[0, 1], Ge, 2),
+                        (&[0, 1], Le, 5),
+                        (&[1, 1], Le, 6),
+                    ],
+                    false,
+                ),
+                witness(&["1", "2"]),
+            ),
+            (system(1, &[(&[1], Ge, 1), (&[1], Le, 1)], false), witness(&["1"])),
+            (system(2, &[(&[1, 1], Eq, 4), (&[1, -1], Eq, 2)], false), witness(&["3", "1"])),
+            (system(1, &[(&[1], Gt, 0), (&[1], Lt, 1)], false), witness(&["1/2"])),
+            (
+                system(
+                    3,
+                    &[(&[-5, 1, 3], Gt, 0), (&[-3, -1, 3], Gt, 0), (&[-1, 1, -1], Gt, 0)],
+                    true,
+                ),
+                witness(&["0", "1", "2/3"]),
+            ),
+            (system(2, &[(&[1, -1], Gt, 3)], true), witness(&["4", "0"])),
+            (
+                system(
+                    4,
+                    &[
+                        (&[1, 1, 1, 1], Eq, 10),
+                        (&[1, -1, 0, 0], Eq, 0),
+                        (&[0, 0, 1, 0], Ge, 4),
+                        (&[0, 0, 0, 1], Gt, 1),
+                    ],
+                    true,
+                ),
+                witness(&["0", "0", "4", "6"]),
+            ),
+        ];
+        for (sys, expected) in cases {
+            assert_eq!(solve(&sys), FmOutcome::Feasible(expected), "{sys}");
+        }
+    }
+
+    #[test]
+    fn linear_combination_cancels_exactly() {
+        // u*lo + (-l)*up with lo = (-2, 1), up = (3, 5) on column 0:
+        // 3*(-2) + 2*3 = 0 — the eliminated column vanishes.
+        let row = |vals: &[i64]| -> Vec<Rational> { vals.iter().map(|&v| r(v, 1)).collect() };
+        let combined = linear_combination(&r(3, 1), &row(&[-2, 1]), &r(2, 1), &row(&[3, 5]));
+        assert_eq!(combined, row(&[0, 13]));
+    }
+
+    #[test]
+    fn dot_skip_leaves_out_the_solved_column() {
+        let row: Vec<Rational> = [2, 0, -1].iter().map(|&v| r(v, 1)).collect();
+        let point = [r(1, 1), r(2, 1), r(3, 1)];
+        assert_eq!(dot_skip(&row, &point, usize::MAX), r(-1, 1));
+        assert_eq!(dot_skip(&row, &point, 2), r(2, 1));
     }
 
     #[test]

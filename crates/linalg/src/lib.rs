@@ -9,17 +9,16 @@
 //!
 //! * [`LinearSystem`] / [`Constraint`] — general rational linear constraints
 //!   (strict and non-strict inequalities and equalities);
-//! * [`Row`] / [`SparseRow`] — the shared coefficient-row abstraction the
-//!   engines pivot and eliminate over, generic over the coefficient type
-//!   ([`GenRow`]); the mostly-zero rows of the paper's strict homogeneous
-//!   systems are stored sparsely, so zero-skipping comes from the
-//!   representation instead of per-loop checks;
+//! * [`IntRow`] — the one row type: a sparse integer row holding only its
+//!   non-zero entries, so the mostly-zero rows of the paper's strict
+//!   homogeneous systems cost only their non-zeros;
 //! * [`bareiss`] — the one production LP kernel: an exact fraction-free
-//!   phase-1 simplex whose intermediate values all stay integers
-//!   ([`IntRow`]), with a single exact gcd division per row per pivot;
+//!   phase-1 simplex over [`IntRow`]s whose intermediate values all stay
+//!   integers, with a single exact gcd division per row per pivot;
 //! * [`fourier_motzkin`] — Fourier–Motzkin elimination with witness
-//!   extraction: the "obviously correct" differential oracle that tests and
-//!   benches check the kernel against;
+//!   extraction over dense rational rows: the "obviously correct"
+//!   differential oracle that tests and benches check the kernel against,
+//!   sharing no row code with it;
 //! * [`StrictHomogeneousSystem`] — the exact shape produced by the paper's
 //!   reduction, with natural-number witness extraction
 //!   ([`StrictHomogeneousSystem::natural_solution`]).
@@ -45,7 +44,7 @@ pub mod bareiss;
 mod error;
 mod feasibility;
 pub mod fourier_motzkin;
-pub mod row;
+mod row;
 pub mod scratch;
 mod system;
 
@@ -53,6 +52,6 @@ pub use bareiss::SimplexOutcome;
 pub use error::LinalgError;
 pub use feasibility::{scale_to_naturals, FeasibilityEngine, StrictHomogeneousSystem};
 pub use fourier_motzkin::FmOutcome;
-pub use row::{Coeff, GenRow, GenSparseRow, IntRow, Row, SparseRow};
+pub use row::IntRow;
 pub use scratch::{LpScratch, RowPool};
 pub use system::{dot, dot_int, dot_int_int, dot_int_nat, Constraint, LinearSystem, Relation};

@@ -4,14 +4,14 @@
 //! A phase-1 run of [`crate::bareiss`] needs a whole working set per call:
 //! the standard-form construction vectors (entry staging, rhs, basis,
 //! artificial flags), one `in_basis` bitmap plus one `reduced`-cost vector
-//! **per pivot**, and a merge output for every sparse elimination. On the per-probe hot loop of the
-//! containment decider those calls happen thousands of times per pair with
-//! near-identical shapes, so all of that capacity is recyclable.
+//! **per pivot**, and a merge output for every elimination. On the per-probe
+//! hot loop of the containment decider those calls happen thousands of times
+//! per pair with near-identical shapes, so all of that capacity is
+//! recyclable.
 //!
-//! [`LpScratch`] owns those buffers. [`RowPool`] recycles the sparse entry
-//! vectors that back [`GenRow::Sparse`] rows — tableau rows are torn back
-//! down into their entry storage at the next reset instead of being
-//! dropped.
+//! [`LpScratch`] owns those buffers. [`RowPool`] recycles the entry vectors
+//! that back [`IntRow`]s — tableau rows are torn back down into their entry
+//! storage at the next reset instead of being dropped.
 //!
 //! Reuse is **capacity-only**: every buffer is cleared before use, so a
 //! kernel run through a warmed scratch performs bit-identical arithmetic
@@ -24,23 +24,17 @@
 
 use dioph_arith::{Integer, Natural};
 
-use crate::row::{sparse_is_worth_it, Coeff, GenRow, GenSparseRow, IntRow};
+use crate::row::IntRow;
 
-/// A pool of sparse-row entry vectors: spent rows are torn down into their
-/// `Vec<(usize, T)>` storage and handed back out, cleared, with their
+/// A pool of row entry vectors: spent rows are torn down into their
+/// `Vec<(usize, Integer)>` storage and handed back out, cleared, with their
 /// capacity intact.
-#[derive(Debug)]
-pub struct RowPool<T> {
-    spare: Vec<Vec<(usize, T)>>,
+#[derive(Debug, Default)]
+pub struct RowPool {
+    spare: Vec<Vec<(usize, Integer)>>,
 }
 
-impl<T> Default for RowPool<T> {
-    fn default() -> Self {
-        RowPool { spare: Vec::new() }
-    }
-}
-
-impl<T: Coeff> RowPool<T> {
+impl RowPool {
     /// An empty pool.
     pub fn new() -> Self {
         Self::default()
@@ -48,7 +42,7 @@ impl<T: Coeff> RowPool<T> {
 
     /// Takes an empty entry vector from the pool, allocating a fresh one
     /// (and counting an `alloc.scratch.spills`) only when the pool is dry.
-    pub fn take(&mut self) -> Vec<(usize, T)> {
+    pub fn take(&mut self) -> Vec<(usize, Integer)> {
         match self.spare.pop() {
             Some(entries) => entries,
             None => {
@@ -59,46 +53,20 @@ impl<T: Coeff> RowPool<T> {
     }
 
     /// Returns an entry vector's capacity to the pool.
-    pub fn put(&mut self, mut entries: Vec<(usize, T)>) {
+    pub fn put(&mut self, mut entries: Vec<(usize, Integer)>) {
         entries.clear();
         self.spare.push(entries);
         dioph_obs::registry::ALLOC_POOL_ROWS_HWM.record_max(self.spare.len() as u64);
     }
 
-    /// Tears a row down, reclaiming its sparse entry storage. Dense storage
-    /// is simply dropped — the systems of the paper's reduction stay sparse
-    /// end to end, so dense rows are the exception, not the steady state.
-    pub fn reclaim(&mut self, row: GenRow<T>) {
-        if let GenRow::Sparse(sparse) = row {
-            self.put(sparse.entries);
-        }
+    /// Tears a row down, reclaiming its entry storage.
+    pub fn reclaim(&mut self, row: IntRow) {
+        self.put(row.into_entries());
     }
 
     /// Number of entry vectors currently held.
     pub fn held(&self) -> usize {
         self.spare.len()
-    }
-}
-
-/// [`GenRow::auto`] with pooled storage: identical representation choice,
-/// but when the dense side wins the (now spent) entry vector goes back to
-/// the pool instead of being dropped.
-pub(crate) fn auto_pooled<T: Coeff>(
-    dim: usize,
-    entries: Vec<(usize, T)>,
-    pool: &mut RowPool<T>,
-) -> GenRow<T> {
-    let sparse = GenSparseRow::new(dim, entries);
-    if sparse_is_worth_it(sparse.nnz(), dim) {
-        GenRow::Sparse(sparse)
-    } else {
-        let mut out = vec![T::default(); dim]; // alloc-ok: dense rows bypass the pool
-        let mut entries = sparse.entries;
-        for (col, value) in entries.drain(..) {
-            out[col] = value;
-        }
-        pool.put(entries);
-        GenRow::Dense(out)
     }
 }
 
@@ -128,12 +96,12 @@ pub struct LpScratch {
     pub(crate) in_basis: Vec<bool>,
     /// Per-pivot reduced-cost vector (hoisted out of the pivot loop).
     pub(crate) reduced: Vec<Integer>,
-    /// Spare output buffer for the sparse elimination merge; after each
+    /// Spare output buffer for the elimination merge; after each
     /// merge it holds the eliminated row's previous entries, ready for the
     /// next one.
     pub(crate) merge_buf: Vec<(usize, Integer)>,
-    /// Recycled entry storage backing the sparse rows above.
-    pub(crate) pool: RowPool<Integer>,
+    /// Recycled entry storage backing the rows above.
+    pub(crate) pool: RowPool,
 }
 
 impl LpScratch {
@@ -146,7 +114,7 @@ impl LpScratch {
     /// The shared integer entry pool, for callers that build
     /// [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem) rows out
     /// of recycled storage.
-    pub fn int_pool(&mut self) -> &mut RowPool<Integer> {
+    pub fn int_pool(&mut self) -> &mut RowPool {
         &mut self.pool
     }
 
@@ -174,12 +142,12 @@ mod tests {
 
     #[test]
     fn pool_round_trips_sparse_entry_storage() {
-        let mut pool: RowPool<Integer> = RowPool::new();
+        let mut pool = RowPool::new();
         assert_eq!(pool.held(), 0);
         let mut entries = pool.take();
         entries.push((1, Integer::from(7)));
         let capacity = entries.capacity();
-        let row = IntRow::sparse(4, entries);
+        let row = IntRow::new(4, entries);
         pool.reclaim(row);
         assert_eq!(pool.held(), 1);
         let recycled = pool.take();
@@ -189,34 +157,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_rows_are_dropped_not_pooled() {
-        let mut pool: RowPool<Integer> = RowPool::new();
-        pool.reclaim(IntRow::dense(vec![Integer::one(), Integer::one()]));
-        assert_eq!(pool.held(), 0);
-    }
-
-    #[test]
-    fn auto_pooled_matches_auto_and_recycles_the_dense_side() {
-        let mut pool: RowPool<Integer> = RowPool::new();
-        // Sparse-worthy entries: representation matches `auto`, storage kept.
-        let sparse_entries = vec![(1, Integer::from(3))];
-        let row = auto_pooled(8, sparse_entries.clone(), &mut pool);
-        assert_eq!(row, IntRow::auto(8, sparse_entries));
-        assert_eq!(pool.held(), 0);
-        // Dense-worthy entries: representation matches `auto`, the spent
-        // entry vector lands in the pool.
-        let dense_entries: Vec<(usize, Integer)> =
-            (0..3).map(|i| (i, Integer::from(i as i64 + 1))).collect();
-        let row = auto_pooled(4, dense_entries.clone(), &mut pool);
-        assert_eq!(row, IntRow::auto(4, dense_entries));
-        assert_eq!(pool.held(), 1);
-    }
-
-    #[test]
     fn reset_reclaims_rows_and_staged_entries() {
         let mut scratch = LpScratch::default();
         scratch.staged.push(vec![(0, Integer::one())]);
-        scratch.rows.push(IntRow::sparse(4, vec![(2, Integer::from(5))]));
+        scratch.rows.push(IntRow::new(4, vec![(2, Integer::from(5))]));
         scratch.rhs.push(Integer::one());
         scratch.basis.push(0);
         scratch.reset();

@@ -90,13 +90,6 @@ impl Constraint {
         self.coeffs.len()
     }
 
-    /// The coefficient vector as a [`Row`](crate::row::Row), stored sparsely
-    /// when mostly zeros (the engines pivot and eliminate on rows, not on
-    /// dense slices).
-    pub fn to_row(&self) -> crate::row::Row {
-        crate::row::Row::from_dense_auto(&self.coeffs)
-    }
-
     /// Evaluates `coeffs · point`.
     pub fn lhs_value(&self, point: &[Rational]) -> Rational {
         dot(&self.coeffs, point)

@@ -6,13 +6,12 @@
 //!   paper's Theorem 4.1);
 //! * every witness returned actually satisfies the system it was asked about;
 //! * natural witnesses scale correctly from rational ones;
-//! * dense and sparse [`IntRow`] inputs drive the simplex to identical
-//!   outcomes (the pivot order under Bland's rule is
-//!   representation-independent).
+//! * the sparse fraction-free elimination step matches a dense reference
+//!   computation value for value, and keeps its storage canonical.
 
 use dioph_arith::{Integer, Rational};
 use dioph_linalg::{
-    bareiss, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation, Row,
+    bareiss, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation,
     SimplexOutcome, StrictHomogeneousSystem,
 };
 use proptest::prelude::*;
@@ -108,63 +107,10 @@ proptest! {
         }
     }
 
-    /// The simplex must behave identically — same outcome, same witness —
-    /// whether a system's rows arrive dense or sparse: Bland's rule is a
-    /// function of coefficient *values*, never of their storage.
-    #[test]
-    fn simplex_outcome_is_representation_independent(sys in shs_strategy()) {
-        let dim = sys.dimension();
-        let dense_rows: Vec<IntRow> =
-            sys.rows().iter().map(|row| IntRow::dense(row.to_dense_vec())).collect();
-        let b = vec![Integer::one(); sys.len()];
-        let from_dense = bareiss::feasible_point_int(dim, dense_rows, b.clone()).unwrap();
-        let from_stored = bareiss::feasible_point_int(dim, sys.rows().to_vec(), b).unwrap();
-        prop_assert_eq!(&from_dense, &from_stored, "representations diverged on {:?}", sys);
-        // And both agree with the scratch-threaded front door.
-        let front = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        prop_assert_eq!(from_dense.witness().map(<[Rational]>::to_vec), front);
-    }
-
-    /// Row combination (the FM kernel) matches its dense reference for any
-    /// mix of representations.
-    #[test]
-    fn row_linear_combination_matches_dense_reference(
-        a in proptest::collection::vec(-5i64..=5, 1..8),
-        b_mask in proptest::collection::vec(-5i64..=5, 1..8),
-        ca in -4i64..=4, cb in -4i64..=4,
-    ) {
-        let dim = a.len().min(b_mask.len());
-        let a = &a[..dim];
-        let b = &b_mask[..dim];
-        let expect: Vec<Rational> = (0..dim)
-            .map(|i| {
-                &(&Rational::from(ca) * &Rational::from(a[i]))
-                    + &(&Rational::from(cb) * &Rational::from(b[i]))
-            })
-            .collect();
-        let dense = |vals: &[i64]| Row::dense(vals.iter().map(|&v| Rational::from(v)).collect());
-        let sparse = |vals: &[i64]| {
-            Row::sparse(
-                vals.len(),
-                vals.iter()
-                    .enumerate()
-                    .filter(|(_, &v)| v != 0)
-                    .map(|(i, &v)| (i, Rational::from(v)))
-                    .collect(),
-            )
-        };
-        for ra in [dense(a), sparse(a)] {
-            for rb in [dense(b), sparse(b)] {
-                let combined =
-                    Row::linear_combination(&Rational::from(ca), &ra, &Rational::from(cb), &rb);
-                prop_assert_eq!(combined.to_dense_vec(), expect.clone());
-            }
-        }
-    }
-
     /// The rational witness is exact: it satisfies the strict system itself
-    /// (not just a rounded copy), and its verdict is the Fourier–Motzkin
-    /// oracle's.
+    /// (not just a rounded copy), its verdict is the Fourier–Motzkin
+    /// oracle's, and the scratch-threaded front door returns exactly the raw
+    /// kernel's witness on `A·x ≥ 1`.
     #[test]
     fn simplex_rational_witness_is_exact(sys in shs_strategy()) {
         let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
@@ -173,6 +119,9 @@ proptest! {
             sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap(),
             "verdict diverged from the oracle on {:?}", sys
         );
+        let b = vec![Integer::one(); sys.len()];
+        let kernel = bareiss::feasible_point_int(sys.dimension(), sys.rows().to_vec(), b).unwrap();
+        prop_assert_eq!(kernel.witness().map(<[Rational]>::to_vec), witness.clone());
         if let Some(w) = witness {
             prop_assert!(sys.to_linear_system().is_satisfied_by(&w), "{:?} misses {:?}", w, sys);
         }
@@ -199,7 +148,7 @@ proptest! {
             base[..rows]
                 .iter()
                 .map(|row| {
-                    IntRow::from_dense_auto(
+                    IntRow::from_dense(
                         &row.iter().map(|&v| Integer::from(v) * factor.clone()).collect::<Vec<_>>(),
                     )
                 })
@@ -218,44 +167,60 @@ proptest! {
         prop_assert_eq!(wide, expected);
     }
 
-    /// The dense/sparse representation stays canonical through elimination:
-    /// `eliminate_fraction_free` densifies past the threshold, and `resparsify` (the pivot
-    /// boundary call) brings receded rows back — the ratchet releases.
+    /// The sparse elimination step computes `pivot·t − factor·s` with the
+    /// skip column of `s` left out — checked value for value against a
+    /// dense `Vec<Integer>` reference over a chain of eliminations sharing
+    /// one spare buffer — and its storage stays canonical: strictly
+    /// increasing columns, no stored zeros.
     #[test]
-    fn row_representation_stays_canonical_under_elimination(
+    fn eliminate_fraction_free_matches_dense_reference(
         target in proptest::collection::vec(-3i64..=3, 4..12),
         srcs in proptest::collection::vec(
-            (proptest::collection::vec(-3i64..=3, 4..12), 1i64..=3, -2i64..=2),
+            (proptest::collection::vec(-3i64..=3, 4..12), -3i64..=3, -2i64..=2, 0usize..16),
             1..6,
         ),
     ) {
         let dim = target.len();
-        let mut row = IntRow::from_dense_auto(
-            &target.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>(),
-        );
-        prop_assert!(row.representation_is_canonical());
+        let ints = |vals: &[i64]| -> Vec<Integer> { vals.iter().map(|&v| Integer::from(v)).collect() };
+        let mut expect = ints(&target);
+        let mut row = IntRow::from_dense(&expect);
         let mut spare = Vec::new();
-        for (src, pivot, factor) in srcs {
+        for (src, pivot, factor, skip) in srcs {
             let mut padded = src;
             padded.resize(dim, 0);
-            let src_row = IntRow::from_dense_auto(
-                &padded.iter().map(|&v| Integer::from(v)).collect::<Vec<_>>(),
-            );
-            row.eliminate_fraction_free(
-                &Integer::from(pivot),
-                &Integer::from(factor),
-                &src_row,
-                usize::MAX,
-                &mut spare,
-            );
-            row.resparsify();
+            let src = ints(&padded);
+            let (pivot, factor) = (Integer::from(pivot), Integer::from(factor));
+            expect = (0..dim)
+                .map(|c| {
+                    let scaled = &pivot * &expect[c];
+                    if c == skip { scaled } else { &scaled - &(&factor * &src[c]) }
+                })
+                .collect();
+            row.eliminate_fraction_free(&pivot, &factor, &IntRow::from_dense(&src), skip, &mut spare);
+            prop_assert_eq!(row.to_dense_vec(), expect.clone());
             prop_assert!(
-                row.representation_is_canonical(),
-                "non-canonical representation: nnz={} dim={}",
-                row.nnz(),
-                row.dim()
+                row.entries().windows(2).all(|w| w[0].0 < w[1].0),
+                "columns not strictly increasing: {:?}", row.entries()
             );
+            prop_assert!(row.entries().iter().all(|(_, v)| !v.is_zero()), "stored zero in {:?}", row.entries());
         }
+    }
+
+    /// An [`IntRow`] built from dense coefficients keeps exactly their
+    /// non-zeros, round-trips back to them, and displays like the strict
+    /// constraint the Fourier–Motzkin oracle reads for it.
+    #[test]
+    fn int_row_round_trips_its_dense_coefficients(coeffs in proptest::collection::vec(-4i64..=4, 0..10)) {
+        let dense: Vec<Integer> = coeffs.iter().map(|&v| Integer::from(v)).collect();
+        let row = IntRow::from_dense(&dense);
+        let nonzero: Vec<(usize, Integer)> =
+            dense.iter().cloned().enumerate().filter(|(_, v)| !v.is_zero()).collect();
+        prop_assert_eq!(&row, &IntRow::new(dense.len(), nonzero));
+        prop_assert_eq!(row.to_dense_vec(), dense.clone());
+        prop_assert_eq!(
+            format!("{row} > 0"),
+            Constraint::from_integers(&dense, Relation::Gt, Integer::zero()).to_string()
+        );
     }
 
     /// FM witnesses for general systems satisfy all constraints.

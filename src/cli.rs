@@ -45,7 +45,7 @@ use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
 use dioph_containment::{
     bag_set_containment, json, set_containment, Algorithm, BagContainment, BagContainmentDecider,
-    CompiledPair, ContainmentError, SetContainment,
+    CompiledPair, SetContainment,
 };
 use dioph_cq::{parse_program_spanned, parse_query, Atom, ConjunctiveQuery, SpannedQuery, Term};
 use dioph_engine::{DecisionEngine, EngineConfig, JobReader, Verdict};
@@ -683,48 +683,18 @@ fn into_pairs(
 // decide / equiv
 // ---------------------------------------------------------------------------
 
-/// The decision backend `decide`/`equiv` run on: the plain sequential
-/// decider, or the probe-parallel engine when `--jobs` asks for more than
-/// one thread. Verdicts are bit-identical either way; only wall-clock
-/// differs.
-enum DecideBackend {
-    Sequential(BagContainmentDecider),
-    Parallel(DecisionEngine),
-}
-
-impl DecideBackend {
-    fn from_opts(opts: &DecideOpts) -> DecideBackend {
-        if opts.jobs > 1 {
-            DecideBackend::Parallel(DecisionEngine::new(opts.engine_config()))
-        } else {
-            DecideBackend::Sequential(BagContainmentDecider::new(opts.algorithm))
-        }
-    }
-
-    fn decide(
-        &self,
-        containee: &ConjunctiveQuery,
-        containing: &ConjunctiveQuery,
-    ) -> Result<BagContainment, ContainmentError> {
-        match self {
-            DecideBackend::Sequential(decider) => decider.decide(containee, containing),
-            DecideBackend::Parallel(engine) => engine.decide(containee, containing),
-        }
-    }
-}
-
 /// Decides one direction under the selected semantics; returns the verdict
 /// and its rendering in the requested output mode only (no point formatting
 /// JSON for a human run, or vice versa).
 fn decide_direction(
     opts: &DecideOpts,
-    backend: &DecideBackend,
+    engine: &DecisionEngine,
     containee: &ConjunctiveQuery,
     containing: &ConjunctiveQuery,
 ) -> Result<(bool, String), CliError> {
     match opts.semantics {
         Semantics::Bag => {
-            let result = backend.decide(containee, containing).map_err(|e| {
+            let result = engine.decide(containee, containing).map_err(|e| {
                 CliError::Failure(format!(
                     "cannot decide {} {} {}: {e}",
                     containee.name(),
@@ -820,14 +790,15 @@ fn cmd_decide(args: &[String], stdin: &mut dyn Read, mutual: bool) -> CliResult 
         precheck_containees(&sources, &spanned, mutual, opts.semantics.symbol())?;
     }
     let pairs = into_pairs(spanned.into_iter().map(|(_, q)| q.query).collect())?;
-    let backend = DecideBackend::from_opts(&opts);
+    // At `--jobs 1` the engine runs the sequential decider itself.
+    let engine = DecisionEngine::new(opts.engine_config());
     let mut human = String::new();
     let mut json_pairs: Vec<String> = Vec::new();
     for (i, (containee, containing)) in pairs.iter().enumerate() {
         let index = i + 1;
-        let forward = decide_direction(&opts, &backend, containee, containing)?;
+        let forward = decide_direction(&opts, &engine, containee, containing)?;
         if mutual {
-            let backward = decide_direction(&opts, &backend, containing, containee)?;
+            let backward = decide_direction(&opts, &engine, containing, containee)?;
             let equivalent = forward.0 && backward.0;
             if opts.json {
                 json_pairs.push(format!(

@@ -18,10 +18,10 @@
 #     discipline"), so an unannotated allocation in an LP kernel, the MPI
 #     compiler or the decider is a per-probe allocation regression waiting
 #     to happen. Deliberate allocations (returned witnesses, one-time
-#     warm-up growth, densification) carry an `// alloc-ok: <reason>`
-#     annotation on the same or the preceding line. The scratch layer
-#     itself (*/scratch.rs) is where allocation is supposed to happen and
-#     is exempt, as are #[cfg(test)] regions.
+#     warm-up growth, dense row copies for displays) carry an
+#     `// alloc-ok: <reason>` annotation on the same or the preceding
+#     line. The scratch layer itself (*/scratch.rs) is where allocation is
+#     supposed to happen and is exempt, as are #[cfg(test)] regions.
 #
 # Exits non-zero listing every offending line. Vendored crates under
 # vendor/ keep their upstream style and are not scanned.
