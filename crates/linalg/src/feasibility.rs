@@ -385,6 +385,38 @@ mod tests {
     }
 
     #[test]
+    fn reset_with_pool_recycles_rows_and_keeps_witnesses() {
+        // A system torn down into a pool and rebuilt from the pool's entry
+        // vectors (at a new dimension) stores the same rows, and decides to
+        // the same witness, as one built fresh.
+        let mut pool = RowPool::new();
+        let mut sys = StrictHomogeneousSystem::new(2);
+        sys.push_row_i64(&[1, -1]);
+        sys.push_row_i64(&[-1, 1]);
+        assert!(!sys.is_feasible(FeasibilityEngine::Simplex).unwrap());
+        sys.reset_with_pool(3, &mut pool);
+        assert!(sys.is_empty());
+        assert_eq!(sys.dimension(), 3);
+        assert_eq!(pool.held(), 2, "both rows must be recycled");
+        for row in [[-5i64, 1, 3], [-3, -1, 3], [-1, 1, -1]] {
+            let mut entries = pool.take();
+            entries.extend(row.iter().enumerate().map(|(col, &v)| (col, Integer::from(v))));
+            sys.push_sparse_row(entries);
+        }
+        assert_eq!(pool.held(), 0);
+        let mut fresh = StrictHomogeneousSystem::new(3);
+        fresh.push_row_i64(&[-5, 1, 3]);
+        fresh.push_row_i64(&[-3, -1, 3]);
+        fresh.push_row_i64(&[-1, 1, -1]);
+        assert_eq!(sys.rows(), fresh.rows());
+        let engine = FeasibilityEngine::Simplex;
+        assert_eq!(
+            sys.rational_solution(engine).unwrap(),
+            fresh.rational_solution(engine).unwrap()
+        );
+    }
+
+    #[test]
     fn e7_witnesses_are_pinned_for_both_engines() {
         // Systems of the E7 ablation's shape (8 rows, coefficients in
         // -4..=6), drawn with the bench seed, plus the paper's running

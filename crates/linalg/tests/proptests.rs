@@ -11,8 +11,8 @@
 
 use dioph_arith::{Integer, Rational};
 use dioph_linalg::{
-    bareiss, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, Relation,
-    SimplexOutcome, StrictHomogeneousSystem,
+    bareiss, Constraint, FeasibilityEngine, FmOutcome, IntRow, LinearSystem, LpScratch, Relation,
+    RowPool, SimplexOutcome, StrictHomogeneousSystem,
 };
 use proptest::prelude::*;
 
@@ -125,6 +125,34 @@ proptest! {
         if let Some(w) = witness {
             prop_assert!(sys.to_linear_system().is_satisfied_by(&w), "{:?} misses {:?}", w, sys);
         }
+    }
+
+    /// The simplex outcome does not depend on how the rows were handed in:
+    /// dense coefficients (`push_row`) and non-zero entries drawn from a
+    /// recycled pool (`push_sparse_row` after `reset_with_pool`) store the
+    /// same rows, and a scratch warmed on another system returns the fresh
+    /// scratch's witness.
+    #[test]
+    fn simplex_outcome_is_representation_independent(
+        sys in shs_strategy(),
+        warm_up in shs_strategy(),
+    ) {
+        let mut pool = RowPool::new();
+        let mut sparse = warm_up.clone();
+        sparse.reset_with_pool(sys.dimension(), &mut pool);
+        for row in sys.rows() {
+            let mut entries = pool.take();
+            entries.extend(
+                row.to_dense_vec().into_iter().enumerate().filter(|(_, v)| !v.is_zero()),
+            );
+            sparse.push_sparse_row(entries);
+        }
+        prop_assert_eq!(sparse.rows(), sys.rows());
+        let engine = FeasibilityEngine::Simplex;
+        let mut scratch = LpScratch::new();
+        warm_up.rational_solution_in(engine, &mut scratch).unwrap();
+        let warmed = sparse.rational_solution_in(engine, &mut scratch).unwrap();
+        prop_assert_eq!(warmed, sys.rational_solution(engine).unwrap(), "diverged on {:?}", sys);
     }
 
     /// Exactness holds where cross-multiplied pivot values no longer fit the
