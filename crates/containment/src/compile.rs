@@ -16,13 +16,19 @@
 //!
 //! Corollary 3.1 / Theorem 5.3 then reduce the containment question to the
 //! (un)solvability of `P(u) < M(u)` over the naturals.
+//!
+//! Many probes are decided from the exponent vectors alone, ahead of any LP
+//! ([`Rung`]): every row of the Theorem 4.1 system is `(e − e_h)·ε > 0`, and
+//! every Equation-1 vector `e_h` has coordinate sum `|q2|` (each atom of `q2`
+//! lands on exactly one unknown), while `e` sums to `|q1(t)|`.
 
+use std::ops::ControlFlow;
 use std::sync::OnceLock;
 
 use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
 use dioph_cq::{
-    for_each_containment_mapping_to_grounded, most_general_probe_tuple, Atom, ConjunctiveQuery,
+    most_general_probe_tuple, try_for_each_containment_mapping_to_grounded, Atom, ConjunctiveQuery,
     MappingBindings, ProbeSpace, Term,
 };
 use dioph_poly::{Monomial, Mpi, Polynomial};
@@ -67,52 +73,23 @@ impl CompiledProbe {
         containing: &ConjunctiveQuery,
         probe: Vec<Term>,
     ) -> Option<CompiledProbe> {
-        // Memoised slots reach this function only on their first fill, so the
-        // counter reads as "cold compilations".
-        dioph_obs::registry::CACHE_PROBE_COMPILED.incr();
-        let _compile_span = dioph_obs::span(dioph_obs::Phase::Compile);
-        let grounded = containee.ground_with_tuple(probe)?;
-        // Unknowns: the distinct atoms of body(q1(t)), in deterministic order.
-        // They are borrowed straight from the grounded query rather than
-        // cloned into a side vector; the grounded containee is kept alive in
-        // the compiled probe as the single owner of both the probe tuple (its
-        // head) and the unknown vector (its distinct body atoms).
-        let n = grounded.distinct_atom_count();
+        let Compiled::Full(compiled) = compile_probe(containee, containing, probe, false)? else {
+            unreachable!("the search stops at a dominating mapping only when asked to")
+        };
+        Some(compiled)
+    }
 
-        // Monomial side: exponents are the body multiplicities of q1(t), in
-        // the same deterministic (sorted) order as the unknowns.
-        let mut mono_exponents = vec![0u64; n];
-        for (j, (_atom, mult)) in grounded.body().enumerate() {
-            mono_exponents[j] = mult;
+    /// The rung of the exponent-vector ladder that decides this probe.
+    pub fn rung(&self) -> Rung {
+        let e = self.mpi.monomial();
+        let polynomial = self.mpi.polynomial();
+        if polynomial.terms().any(|(_, m)| dominates(m.exponents(), e.exponents())) {
+            Rung::Dominance
+        } else if polynomial.is_zero() {
+            Rung::NoMapping
+        } else {
+            Rung::Lp
         }
-        let monomial = Monomial::new(mono_exponents);
-
-        // Polynomial side: one monomial per containment mapping h ∈ CM(q2, q1(t)).
-        // The visitor enumeration never materialises a substitution or the
-        // image query h(q2): each image atom is matched term-wise against the
-        // unknown vector, and multiplicities of atoms that collapse under h
-        // accumulate directly into the reused exponent buffer (Equation 1).
-        let mut polynomial = Polynomial::zero(n);
-        let mut mapping_count = 0usize;
-        let mut exponents = vec![0u64; n];
-        for_each_containment_mapping_to_grounded(containing, &grounded, |h| {
-            mapping_count += 1;
-            exponents.iter_mut().for_each(|e| *e = 0);
-            for (atom, mult) in containing.body() {
-                let j = grounded.body_atoms().position(|cand| image_matches(cand, atom, h)).expect(
-                    "the image of a containment mapping lies inside the canonical instance",
-                );
-                exponents[j] += mult;
-            }
-            polynomial.add_monomial(Monomial::from_slice(&exponents));
-        });
-        dioph_obs::registry::CONTAINMENT_MAPPINGS.add(mapping_count as u64);
-
-        Some(CompiledProbe {
-            grounded_containee: grounded,
-            mpi: Mpi::new(polynomial, monomial),
-            mapping_count,
-        })
     }
 
     /// The probe tuple: the head of the grounded containee.
@@ -163,6 +140,114 @@ impl CompiledProbe {
     }
 }
 
+/// What decides a probe, cheapest first. Every row of the Theorem 4.1
+/// system is `(e − e_h)·ε > 0` over natural `ε ≠ 0`, and every `e_h` has
+/// coordinate sum `|q2|`. If some `e_h ≥ e` componentwise, row `h` is `≤ 0`
+/// for every natural `ε`, so the system is unsolvable and the probe is
+/// contained ([`Rung::Dominance`]; the onto-mapping condition of Ioannidis
+/// and Ramakrishnan). That needs `|q2| ≥ |q1(t)|`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+pub enum Rung {
+    /// A containment mapping's exponents dominate the monomial: contained.
+    Dominance,
+    /// No containment mapping: the zero polynomial, refuted by the all-ones
+    /// bag.
+    NoMapping,
+    /// The Theorem 4.1 LP decides.
+    Lp,
+}
+
+/// Is `exponents ≥ bound` componentwise?
+fn dominates(exponents: &[u64], bound: &[u64]) -> bool {
+    exponents.iter().zip(bound).all(|(x, b)| x >= b)
+}
+
+/// The result of compiling one probe.
+enum Compiled {
+    /// The search stopped at a mapping whose exponents dominate the monomial.
+    Dominated,
+    /// The full compilation.
+    Full(CompiledProbe),
+}
+
+/// Compiles the MPI for `probe`. With `stop_at_dominance`, the mapping
+/// search stops at the first mapping whose Equation-1 exponents dominate the
+/// monomial; the flag is ignored when `|q1(t)| > |q2|`, where no mapping can
+/// dominate. Returns `None` when the probe tuple does not unify with the
+/// head of the containee.
+fn compile_probe(
+    containee: &ConjunctiveQuery,
+    containing: &ConjunctiveQuery,
+    probe: Vec<Term>,
+    stop_at_dominance: bool,
+) -> Option<Compiled> {
+    // Memoised slots reach this function only on their first fill, so the
+    // counter reads as "cold compilations".
+    dioph_obs::registry::CACHE_PROBE_COMPILED.incr();
+    let _compile_span = dioph_obs::span(dioph_obs::Phase::Compile);
+    let grounded = containee.ground_with_tuple(probe)?;
+    // Unknowns: the distinct atoms of body(q1(t)), in deterministic order.
+    // They are borrowed straight from the grounded query rather than
+    // cloned into a side vector; the grounded containee is kept alive in
+    // the compiled probe as the single owner of both the probe tuple (its
+    // head) and the unknown vector (its distinct body atoms).
+    let n = grounded.distinct_atom_count();
+
+    // Monomial side: exponents are the body multiplicities of q1(t), in
+    // the same deterministic (sorted) order as the unknowns.
+    let mut mono_exponents = vec![0u64; n];
+    for (j, (_atom, mult)) in grounded.body().enumerate() {
+        mono_exponents[j] = mult;
+    }
+    let monomial = Monomial::new(mono_exponents);
+    let stop_at_dominance = stop_at_dominance && monomial.degree() <= containing.total_atom_count();
+
+    // Polynomial side: one monomial per containment mapping h ∈ CM(q2, q1(t)).
+    // The visitor enumeration never materialises a substitution or the
+    // image query h(q2): each image atom is matched term-wise against the
+    // unknown vector, and multiplicities of atoms that collapse under h
+    // accumulate directly into the reused exponent buffer (Equation 1).
+    let mut polynomial = Polynomial::zero(n);
+    let mut mapping_count = 0usize;
+    let mut exponents = vec![0u64; n];
+    let flow = try_for_each_containment_mapping_to_grounded(containing, &grounded, |h| {
+        mapping_count += 1;
+        exponents.iter_mut().for_each(|e| *e = 0);
+        for (atom, mult) in containing.body() {
+            let j = grounded
+                .body_atoms()
+                .position(|cand| image_matches(cand, atom, h))
+                .expect("the image of a containment mapping lies inside the canonical instance");
+            exponents[j] += mult;
+        }
+        if stop_at_dominance && dominates(&exponents, monomial.exponents()) {
+            return ControlFlow::Break(());
+        }
+        polynomial.add_monomial(Monomial::from_slice(&exponents));
+        ControlFlow::Continue(())
+    });
+    dioph_obs::registry::CONTAINMENT_MAPPINGS.add(mapping_count as u64);
+    if flow.is_break() {
+        return Some(Compiled::Dominated);
+    }
+    Some(Compiled::Full(CompiledProbe {
+        grounded_containee: grounded,
+        mpi: Mpi::new(polynomial, monomial),
+        mapping_count,
+    }))
+}
+
+/// The most-general probe as far as deciding it needs
+/// ([`CompiledPair::most_general_rung`]).
+#[derive(Clone, Copy, Debug)]
+pub enum MostGeneral<'a> {
+    /// A containment mapping dominates the monomial: the pair is contained,
+    /// and the mapping search stopped there.
+    Dominated,
+    /// No mapping dominates: the full compiled probe.
+    Compiled(&'a CompiledProbe),
+}
+
 /// A whole containment pair compiled once and shared **read-only** across
 /// probes, worker threads and repeated decisions.
 ///
@@ -186,6 +271,8 @@ pub struct CompiledPair {
     containee: ConjunctiveQuery,
     containing: ConjunctiveQuery,
     most_general: OnceLock<CompiledProbe>,
+    /// Whether a containment mapping dominates the most-general monomial.
+    most_general_dominated: OnceLock<bool>,
     space: OnceLock<ProbeSpace>,
     /// One memoisation slot per raw probe index; `None` marks an index whose
     /// candidate tuple is not unifiable with the head (not a probe tuple).
@@ -209,6 +296,7 @@ impl CompiledPair {
             containee,
             containing,
             most_general: OnceLock::new(),
+            most_general_dominated: OnceLock::new(),
             space: OnceLock::new(),
             slots: OnceLock::new(),
         })
@@ -231,6 +319,36 @@ impl CompiledPair {
             CompiledProbe::compile_owned(&self.containee, &self.containing, probe)
                 .expect("the most-general probe tuple always unifies with the head")
         })
+    }
+
+    /// The most-general probe's first rung, memoised: [`MostGeneral::Dominated`]
+    /// when the mapping search meets a mapping whose Equation-1 exponents
+    /// dominate the monomial (it stops there), otherwise the full compiled
+    /// probe. A search that ends without dominance fills the slot
+    /// [`Self::most_general`] reads, so the enumeration runs once.
+    pub fn most_general_rung(&self) -> MostGeneral<'_> {
+        let dominated = *self.most_general_dominated.get_or_init(|| {
+            if let Some(full) = self.most_general.get() {
+                return full.rung() == Rung::Dominance;
+            }
+            let probe = most_general_probe_tuple(&self.containee);
+            match compile_probe(&self.containee, &self.containing, probe, true)
+                .expect("the most-general probe tuple always unifies with the head")
+            {
+                Compiled::Dominated => true,
+                Compiled::Full(full) => {
+                    // A concurrent `most_general()` may have filled the slot
+                    // first; both compilations are equal.
+                    let _ = self.most_general.set(full);
+                    false
+                }
+            }
+        });
+        if dominated {
+            MostGeneral::Dominated
+        } else {
+            MostGeneral::Compiled(self.most_general())
+        }
     }
 
     /// The indexed probe space of the containee, computed on first use.

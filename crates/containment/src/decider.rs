@@ -24,7 +24,7 @@ use dioph_cq::ConjunctiveQuery;
 use dioph_linalg::FeasibilityEngine;
 
 use crate::certificate::{BagContainment, ContainmentError};
-use crate::compile::{CompiledPair, CompiledProbe};
+use crate::compile::{CompiledPair, CompiledProbe, MostGeneral, Rung};
 use crate::scratch::ProbeScratch;
 
 /// Which decision algorithm to run.
@@ -95,38 +95,45 @@ impl BagContainmentDecider {
     pub fn decide_pair(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
         dioph_obs::registry::ENGINE_PAIRS_DECIDED.incr();
         let result = self.decide_pair_inner(pair);
-        if let Ok(verdict) = &result {
-            observe_verdict(verdict);
+        if let Ok((verdict, rung)) = &result {
+            observe_verdict(verdict, *rung);
         }
-        result
+        result.map(|(verdict, _)| verdict)
     }
 
     /// The sequential decision loop behind [`Self::decide_pair`] (split out so
-    /// the public entry point records registry counters exactly once).
-    fn decide_pair_inner(&self, pair: &CompiledPair) -> Result<BagContainment, ContainmentError> {
+    /// the public entry point records registry counters exactly once). Also
+    /// returns the rung the verdict is attributed to (see [`observe_verdict`]).
+    fn decide_pair_inner(
+        &self,
+        pair: &CompiledPair,
+    ) -> Result<(BagContainment, Option<Rung>), ContainmentError> {
         // One scratch for the whole pair: every probe after the first runs
         // through warmed buffers.
         let mut scratch = ProbeScratch::new();
         if self.algorithm == Algorithm::MostGeneralProbe {
-            let compiled = pair.most_general();
-            return Ok(match self.decide_probe_in(compiled, &mut scratch)? {
+            let (witness, rung) = self.decide_most_general_in(pair, &mut scratch)?;
+            let verdict = match witness {
                 Some(assignment) => BagContainment::NotContained(Box::new(
-                    pair.counterexample(compiled, &assignment),
+                    pair.counterexample(pair.most_general(), &assignment),
                 )),
                 None => BagContainment::Contained { probes_checked: 1 },
-            });
+            };
+            return Ok((verdict, rung));
         }
         let mut checked = 0usize;
+        let mut hardest = None;
         for index in 0..pair.probe_space().raw_len() {
             let Some(compiled) = pair.probe(index) else { continue };
             checked += 1;
-            if let Some(assignment) = self.decide_probe_in(compiled, &mut scratch)? {
-                return Ok(BagContainment::NotContained(Box::new(
-                    pair.counterexample(compiled, &assignment),
-                )));
+            let (witness, rung) = self.decide_probe_rung_in(compiled, &mut scratch)?;
+            if let Some(assignment) = witness {
+                let ce = pair.counterexample(compiled, &assignment);
+                return Ok((BagContainment::NotContained(Box::new(ce)), rung));
             }
+            hardest = hardest.max(rung);
         }
-        Ok(BagContainment::Contained { probes_checked: checked })
+        Ok((BagContainment::Contained { probes_checked: checked }, hardest))
     }
 
     /// Decides a single compiled probe: `Ok(Some(ξ))` returns an MPI
@@ -165,23 +172,75 @@ impl BagContainmentDecider {
         compiled: &CompiledProbe,
         scratch: &mut ProbeScratch,
     ) -> Result<Option<Vec<Natural>>, ContainmentError> {
+        self.decide_probe_rung_in(compiled, scratch).map(|(witness, _)| witness)
+    }
+
+    /// [`Self::decide_probe_in`], also returning the [`Rung`] that decided
+    /// the probe. The MPI routes climb the rungs in order: a dominating
+    /// mapping means contained; no mapping at all is the zero-polynomial
+    /// path; only the rest reaches the LP. Guess-and-check runs no ladder
+    /// and reports no rung.
+    ///
+    /// # Errors
+    /// As [`Self::decide_probe`].
+    pub fn decide_probe_rung_in(
+        &self,
+        compiled: &CompiledProbe,
+        scratch: &mut ProbeScratch,
+    ) -> Result<(Option<Vec<Natural>>, Option<Rung>), ContainmentError> {
         dioph_obs::registry::CONTAINMENT_PROBES_DECIDED.incr();
         let _probe_span = dioph_obs::span(dioph_obs::Phase::Probe);
         scratch.note_probe();
         match self.algorithm {
             Algorithm::MostGeneralProbe | Algorithm::AllProbes => {
-                Ok(compiled.mpi().diophantine_solution_in(self.engine, &mut scratch.mpi)?)
+                let rung = compiled.rung();
+                let witness = match rung {
+                    Rung::Dominance => None,
+                    Rung::NoMapping | Rung::Lp => {
+                        compiled.mpi().diophantine_solution_in(self.engine, &mut scratch.mpi)?
+                    }
+                };
+                Ok((witness, Some(rung)))
             }
-            Algorithm::GuessCheck { budget } => guess_check_probe(compiled, budget, scratch),
+            Algorithm::GuessCheck { budget } => {
+                Ok((guess_check_probe(compiled, budget, scratch)?, None))
+            }
+        }
+    }
+
+    /// Decides the most-general probe of `pair` (the Theorem 5.3 unit) from
+    /// its memoised rung: a pair whose mapping search met a dominating
+    /// mapping is contained without the rest of the enumeration (under any
+    /// algorithm: no natural vector satisfies a row `≤ 0`); any other goes
+    /// through [`Self::decide_probe_rung_in`] on the full probe.
+    ///
+    /// # Errors
+    /// As [`Self::decide_probe`].
+    pub fn decide_most_general_in(
+        &self,
+        pair: &CompiledPair,
+        scratch: &mut ProbeScratch,
+    ) -> Result<(Option<Vec<Natural>>, Option<Rung>), ContainmentError> {
+        match pair.most_general_rung() {
+            MostGeneral::Dominated => {
+                dioph_obs::registry::CONTAINMENT_PROBES_DECIDED.incr();
+                Ok((None, Some(Rung::Dominance)))
+            }
+            MostGeneral::Compiled(compiled) => self.decide_probe_rung_in(compiled, scratch),
         }
     }
 }
 
-/// Tallies one verdict into the registry. Public so the probe-parallel pool
-/// in `dioph-engine` — which assembles its [`BagContainment`] from merged
-/// probe events rather than through [`BagContainmentDecider::decide_pair`] —
-/// counts identically to the sequential loop.
-pub fn observe_verdict(verdict: &BagContainment) {
+/// Tallies one verdict into the registry: the verdict counters and, for the
+/// MPI routes, the `containment.decided_by.*` counter of the rung the
+/// verdict is attributed to. A not-contained verdict belongs to the rung of
+/// its witness probe; a contained one to the costliest rung among its
+/// probes (the LP if any probe reached it). Public so the probe-parallel
+/// pool in `dioph-engine` — which assembles its [`BagContainment`] from
+/// merged probe events rather than through
+/// [`BagContainmentDecider::decide_pair`] — counts identically to the
+/// sequential loop.
+pub fn observe_verdict(verdict: &BagContainment, rung: Option<Rung>) {
     match verdict {
         BagContainment::Contained { .. } => {
             dioph_obs::registry::ENGINE_VERDICTS_CONTAINED.incr();
@@ -190,6 +249,13 @@ pub fn observe_verdict(verdict: &BagContainment) {
             dioph_obs::registry::ENGINE_VERDICTS_NOT_CONTAINED.incr();
         }
     }
+    let counter = match rung {
+        None => return,
+        Some(Rung::Dominance) => &dioph_obs::registry::CONTAINMENT_DECIDED_BY_DOMINANCE,
+        Some(Rung::NoMapping) => &dioph_obs::registry::CONTAINMENT_DECIDED_BY_NO_MAPPING,
+        Some(Rung::Lp) => &dioph_obs::registry::CONTAINMENT_DECIDED_BY_LP,
+    };
+    counter.incr();
 }
 
 /// The Lemma 5.1 bounded enumeration for one probe: searches for a natural
@@ -560,6 +626,52 @@ mod tests {
         let decider = BagContainmentDecider::new(Algorithm::GuessCheck { budget: 3 });
         let err = decider.decide(&q1, &q2).unwrap_err();
         assert!(matches!(err, ContainmentError::BudgetExceeded { budget: 3 }));
+    }
+
+    /// Decides the most-general probe of `pair` and returns the witness and
+    /// the rung that decided it.
+    fn most_general_outcome(pair: &CompiledPair) -> (Option<Vec<Natural>>, Option<Rung>) {
+        BagContainmentDecider::default()
+            .decide_most_general_in(pair, &mut ProbeScratch::new())
+            .expect("the LP route decides")
+    }
+
+    #[test]
+    fn a_dominating_mapping_decides_containment_without_the_lp() {
+        // Four mappings send (y1, y2) into {c1, c2}²; the one onto (c1, c2)
+        // has exponents (1, 1) = e, so the search stops there.
+        let q1 = parse_query("q(x) <- R(x, 'c1'), R(x, 'c2')").unwrap();
+        let q2 = parse_query("p(x) <- R(x, y1), R(x, y2)").unwrap();
+        let pair = CompiledPair::new(q1.clone(), q2.clone()).unwrap();
+        assert!(matches!(pair.most_general_rung(), MostGeneral::Dominated));
+        assert_eq!(most_general_outcome(&pair), (None, Some(Rung::Dominance)));
+        // The full route stays reachable: the complete MPI, every mapping.
+        assert_eq!(pair.most_general().mapping_count(), 4);
+        assert_eq!(pair.most_general().rung(), Rung::Dominance);
+        assert_contained(&q1, &q2);
+    }
+
+    #[test]
+    fn the_residual_contained_pair_needs_the_lp() {
+        // Contained, yet no containment mapping dominates the monomial: the
+        // one pair among 5,000 seed-7 fuzz cases that only the LP settles.
+        let q1 =
+            parse_query("q(x0, x1) <- R(x1, x1), S(x0, x0), S(x0, 'c0'), S('c0', 'c0')").unwrap();
+        let q2 = parse_query("p(x0, x1) <- R(x1, x1), S(x0, y0), S^2(y1, y0)").unwrap();
+        let pair = CompiledPair::new(q1.clone(), q2.clone()).unwrap();
+        let MostGeneral::Compiled(compiled) = pair.most_general_rung() else {
+            panic!("no mapping dominates the residual pair");
+        };
+        assert_eq!(compiled.rung(), Rung::Lp);
+        assert_eq!(most_general_outcome(&pair), (None, Some(Rung::Lp)));
+        // Guess-and-check is left out: proving a contained probe means
+        // exhausting its Lemma 5.1 bound, far past any test budget here.
+        for decider in all_deciders()
+            .into_iter()
+            .filter(|d| !matches!(d.algorithm, Algorithm::GuessCheck { .. }))
+        {
+            assert!(decider.decide(&q1, &q2).unwrap().holds(), "{decider:?}");
+        }
     }
 
     #[test]

@@ -14,7 +14,10 @@
 //!    system of Theorem 4.1, solved by `dioph-linalg` (Theorem 4.2);
 //! 3. [`BagContainmentDecider`] wires it together following Theorem 5.3
 //!    (most-general probe tuple), with Corollary 3.1 (all probes) and the
-//!    Lemma 5.1 enumeration (guess & check) available as baselines;
+//!    Lemma 5.1 enumeration (guess & check) available as baselines; the MPI
+//!    routes first try the exponent-vector [`Rung`]s, which decide most
+//!    probes without the LP (and most contained pairs without enumerating
+//!    every containment mapping);
 //! 4. failures come with a [`Counterexample`] bag which is re-evaluated by
 //!    the independent `dioph-bagdb` engine.
 //!
@@ -48,7 +51,7 @@ mod scratch;
 mod set;
 
 pub use certificate::{BagContainment, ContainmentError, Counterexample};
-pub use compile::{CompiledPair, CompiledProbe};
+pub use compile::{CompiledPair, CompiledProbe, MostGeneral, Rung};
 pub use decider::{
     are_bag_equivalent, bag_equivalence, is_bag_contained, observe_verdict, Algorithm,
     BagContainmentDecider,

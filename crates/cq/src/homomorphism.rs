@@ -16,6 +16,7 @@
 //! search shallow on the instances arising from canonical databases.
 
 use std::collections::{BTreeSet, HashMap};
+use std::ops::ControlFlow;
 
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
@@ -220,8 +221,26 @@ pub fn for_each_containment_mapping_to_grounded<'a>(
     grounded_containee: &'a ConjunctiveQuery,
     mut visit: impl FnMut(&MappingBindings<'a>),
 ) {
+    let _ = try_for_each_containment_mapping_to_grounded(containing, grounded_containee, |h| {
+        visit(h);
+        ControlFlow::Continue(())
+    });
+}
+
+/// [`for_each_containment_mapping_to_grounded`] with early exit: the search
+/// stops at the first mapping whose visitor returns
+/// [`ControlFlow::Break`], and the break is returned. Mappings before it are
+/// visited in the same order as the full enumeration.
+///
+/// # Panics
+/// As [`for_each_containment_mapping_to_grounded`].
+pub fn try_for_each_containment_mapping_to_grounded<'a>(
+    containing: &'a ConjunctiveQuery,
+    grounded_containee: &'a ConjunctiveQuery,
+    mut visit: impl FnMut(&MappingBindings<'a>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     if containing.arity() != grounded_containee.arity() {
-        return;
+        return ControlFlow::Continue(());
     }
     let tuple = grounded_containee.head();
     debug_assert!(
@@ -237,11 +256,11 @@ pub fn for_each_containment_mapping_to_grounded<'a>(
             Term::Var(v) => {
                 let i = bindings.slot(v);
                 match bindings.images[i] {
-                    Some(existing) if existing != target => return,
+                    Some(existing) if existing != target => return ControlFlow::Continue(()),
                     _ => bindings.images[i] = Some(target),
                 }
             }
-            other if other != target => return,
+            other if other != target => return ControlFlow::Continue(()),
             _ => {}
         }
     }
@@ -275,7 +294,7 @@ pub fn for_each_containment_mapping_to_grounded<'a>(
     ordered.sort_by_key(|(_, candidates)| candidates.len());
 
     let mut trail: Vec<usize> = Vec::new();
-    search_bindings(&ordered, 0, &mut bindings, &mut trail, &mut visit);
+    search_bindings(&ordered, 0, &mut bindings, &mut trail, &mut visit)
 }
 
 fn search_bindings<'a>(
@@ -283,11 +302,10 @@ fn search_bindings<'a>(
     depth: usize,
     bindings: &mut MappingBindings<'a>,
     trail: &mut Vec<usize>,
-    visit: &mut impl FnMut(&MappingBindings<'a>),
-) {
+    visit: &mut impl FnMut(&MappingBindings<'a>) -> ControlFlow<()>,
+) -> ControlFlow<()> {
     let Some((pats, candidates)) = atoms.get(depth) else {
-        visit(bindings);
-        return;
+        return visit(bindings);
     };
     for fact in candidates {
         let mark = trail.len();
@@ -314,14 +332,18 @@ fn search_bindings<'a>(
                 }
             }
         }
-        if ok {
-            search_bindings(atoms, depth + 1, bindings, trail, visit);
-        }
+        let flow = if ok {
+            search_bindings(atoms, depth + 1, bindings, trail, visit)
+        } else {
+            ControlFlow::Continue(())
+        };
         while trail.len() > mark {
             let i = trail.pop().expect("trail entries past the mark were just pushed");
             bindings.images[i] = None;
         }
+        flow?;
     }
+    ControlFlow::Continue(())
 }
 
 /// Replaces canonical constants by their variables in every image of the

@@ -66,13 +66,14 @@ use std::time::Instant;
 
 use dioph_arith::Natural;
 use dioph_containment::{
-    BagContainment, BagContainmentDecider, CompiledPair, ContainmentError, ProbeScratch,
+    BagContainment, BagContainmentDecider, CompiledPair, ContainmentError, ProbeScratch, Rung,
 };
 
 /// The outcome of one probe that can decide the whole pair.
 enum ProbeEvent {
-    /// An MPI assignment witnessing non-containment at this probe.
-    Witness(Vec<Natural>),
+    /// An MPI assignment witnessing non-containment at this probe, and the
+    /// rung that found it.
+    Witness(Vec<Natural>, Option<Rung>),
     /// The per-probe decision failed (guess-and-check budget exhaustion).
     Error(ContainmentError),
 }
@@ -114,6 +115,9 @@ struct Progress {
     remaining: usize,
     /// Probe tuples decided (the `probes_checked` of a Contained verdict).
     checked: usize,
+    /// The costliest rung among the probes decided without an event (the
+    /// rung a Contained verdict is attributed to).
+    hardest: Option<Rung>,
     /// The lowest-index probe event seen so far.
     event: Option<(usize, ProbeEvent)>,
 }
@@ -218,7 +222,12 @@ impl<'a> Scheduler<'a> {
             next_unit: AtomicUsize::new(0),
             cutoff: AtomicUsize::new(usize::MAX),
             owner: AtomicUsize::new(usize::MAX),
-            progress: Mutex::new(Progress { remaining: units, checked: 0, event: None }),
+            progress: Mutex::new(Progress {
+                remaining: units,
+                checked: 0,
+                hardest: None,
+                event: None,
+            }),
         });
         let mut state = self.state.lock().expect("scheduler users never panic");
         while state.in_flight >= self.capacity && !self.aborted.load(Ordering::Relaxed) {
@@ -327,7 +336,7 @@ impl<'a> Scheduler<'a> {
             if claim.is_err_and(|owner| owner != worker) {
                 dioph_obs::registry::ENGINE_STEALS.incr();
             }
-            let (decided, event) = self.decide_units(
+            let (decided, hardest, event) = self.decide_units(
                 &task,
                 decider,
                 start..end,
@@ -347,6 +356,7 @@ impl<'a> Scheduler<'a> {
                     }
                 }
                 progress.checked += decided;
+                progress.hardest = progress.hardest.max(hardest);
                 progress.remaining -= claimed;
                 progress.remaining == 0
             };
@@ -360,7 +370,8 @@ impl<'a> Scheduler<'a> {
     }
 
     /// Decides the units of one claimed chunk; returns how many probes were
-    /// decided and the chunk's lowest-index event, if any.
+    /// decided, the costliest rung among those without an event, and the
+    /// chunk's lowest-index event, if any.
     fn decide_units(
         &self,
         task: &PairTask<'a>,
@@ -369,8 +380,9 @@ impl<'a> Scheduler<'a> {
         scratch: &mut ProbeScratch,
         busy_ns: &mut u64,
         max_unit_ns: &mut u64,
-    ) -> (usize, Option<(usize, ProbeEvent)>) {
+    ) -> (usize, Option<Rung>, Option<(usize, ProbeEvent)>) {
         let mut decided = 0usize;
+        let mut hardest = None;
         let raw_len = task.pair.probe_space().raw_len();
         for index in range {
             if self.aborted.load(Ordering::Relaxed) {
@@ -384,30 +396,34 @@ impl<'a> Scheduler<'a> {
                 continue;
             }
             let unit_start = dioph_obs::phase::timing_enabled().then(Instant::now);
-            let compiled = match task.kind {
-                UnitKind::MostGeneral => Some(task.pair.most_general()),
-                UnitKind::ProbeSpace if index < raw_len => task.pair.probe(index),
-                UnitKind::ProbeSpace => None, // the degenerate no-op unit
+            let outcome = match task.kind {
+                UnitKind::MostGeneral => decider.decide_most_general_in(&task.pair, scratch),
+                UnitKind::ProbeSpace if index < raw_len => match task.pair.probe(index) {
+                    Some(compiled) => decider.decide_probe_rung_in(compiled, scratch),
+                    None => continue,
+                },
+                UnitKind::ProbeSpace => continue, // the degenerate no-op unit
             };
-            let Some(compiled) = compiled else { continue };
             decided += 1;
-            let outcome = decider.decide_probe_in(compiled, scratch);
             if let Some(unit_start) = unit_start {
                 let ns = u64::try_from(unit_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                 *busy_ns = busy_ns.saturating_add(ns);
                 *max_unit_ns = (*max_unit_ns).max(ns);
             }
             let event = match outcome {
-                Ok(None) => continue,
-                Ok(Some(assignment)) => ProbeEvent::Witness(assignment),
+                Ok((None, rung)) => {
+                    hardest = hardest.max(rung);
+                    continue;
+                }
+                Ok((Some(assignment), rung)) => ProbeEvent::Witness(assignment, rung),
                 Err(error) => ProbeEvent::Error(error),
             };
             // Later units of this chunk have strictly higher indices, so
             // they can never win the merge against this event: stop here
             // and let the remainder retire as skips.
-            return (decided, Some((index, event)));
+            return (decided, hardest, Some((index, event)));
         }
-        (decided, None)
+        (decided, hardest, None)
     }
 
     /// Turns a fully retired task back into a verdict and hands it to the
@@ -417,27 +433,26 @@ impl<'a> Scheduler<'a> {
         task: &PairTask<'a>,
         sink: &impl Fn(u64, Result<BagContainment, ContainmentError>),
     ) {
-        let (event, checked) = {
+        let (event, checked, hardest) = {
             let mut progress = task.progress.lock().expect("scheduler workers never panic");
-            (progress.event.take(), progress.checked)
+            (progress.event.take(), progress.checked, progress.hardest)
         };
-        let result = match event {
-            Some((index, ProbeEvent::Witness(assignment))) => {
+        let (result, rung) = match event {
+            Some((index, ProbeEvent::Witness(assignment, rung))) => {
                 let compiled = match task.kind {
                     UnitKind::MostGeneral => task.pair.most_general(),
                     UnitKind::ProbeSpace => {
                         task.pair.probe(index).expect("the winning event came from a probe")
                     }
                 };
-                Ok(BagContainment::NotContained(Box::new(
-                    task.pair.counterexample(compiled, &assignment),
-                )))
+                let ce = task.pair.counterexample(compiled, &assignment);
+                (Ok(BagContainment::NotContained(Box::new(ce))), rung)
             }
-            Some((_, ProbeEvent::Error(error))) => Err(error),
-            None => Ok(BagContainment::Contained { probes_checked: checked }),
+            Some((_, ProbeEvent::Error(error))) => (Err(error), None),
+            None => (Ok(BagContainment::Contained { probes_checked: checked }), hardest),
         };
         if let Ok(verdict) = &result {
-            dioph_containment::observe_verdict(verdict);
+            dioph_containment::observe_verdict(verdict, rung);
         }
         sink(task.seq, result);
         let mut state = self.state.lock().expect("scheduler users never panic");

@@ -10,8 +10,8 @@ use dioph_bagdb::{
     BagViolation,
 };
 use dioph_containment::{
-    bag_set_containment, set_containment, Algorithm, BagContainment, CompiledPair,
-    ContainmentError, Counterexample,
+    bag_set_containment, set_containment, Algorithm, BagContainment, BagContainmentDecider,
+    CompiledPair, ContainmentError, Counterexample, FeasibilityEngine, ProbeScratch,
 };
 use dioph_cq::{Atom, ConjunctiveQuery, Term};
 use dioph_engine::{DecisionEngine, EngineConfig};
@@ -88,6 +88,9 @@ pub enum DisagreementKind {
     BagSetMismatch,
     /// A `Contained` verdict contradicted by an explicit bag database.
     ContainedRefuted,
+    /// The dominance rung disagrees with the full route: the most-general
+    /// MPI decided by the LP alone.
+    ShortcutMismatch,
 }
 
 impl DisagreementKind {
@@ -98,6 +101,7 @@ impl DisagreementKind {
             DisagreementKind::SetConditionViolated => "set-condition-violated",
             DisagreementKind::BagSetMismatch => "bag-set-mismatch",
             DisagreementKind::ContainedRefuted => "contained-refuted-by-database",
+            DisagreementKind::ShortcutMismatch => "shortcut-mismatch",
         }
     }
 }
@@ -284,6 +288,11 @@ fn check_once(
         Ok(verdict) => verdict,
         Err(e) => return (Err(e), set, bag_set, 0, None),
     };
+    // Compared before any injection: the injected bugs are the other
+    // checks' to catch.
+    if let Some(raw) = shortcut_mismatch(&pair, &verdict) {
+        return (Ok(verdict), set, bag_set, 0, Some(raw));
+    }
     let verdict = match config.injection {
         Some(injection) => injection.apply(verdict, &pair),
         None => verdict,
@@ -345,6 +354,35 @@ fn check_once(
             (Ok(verdict), set, bag_set, databases, raw)
         }
     }
+}
+
+/// Re-decides `pair` on the full route — the complete most-general MPI
+/// handed straight to `Mpi::diophantine_solution`, no rungs —
+/// and compares it with both routes that take the rungs: the all-probes
+/// `verdict` and the most-general route, whose mapping search may stop at a
+/// dominating mapping. `None` when all three agree, or when a route fails
+/// with an error (those surface through the verdict itself).
+fn shortcut_mismatch(pair: &CompiledPair, verdict: &BagContainment) -> Option<RawDisagreement> {
+    // The rung route first: it must compile the most-general probe itself,
+    // with the early stop, before the full compilation fills its slot.
+    let (witness, rung) = BagContainmentDecider::default()
+        .decide_most_general_in(pair, &mut ProbeScratch::new())
+        .ok()?;
+    let full = pair.most_general().mpi().diophantine_solution(FeasibilityEngine::default()).ok()?;
+    let says = |contained: bool| if contained { "contained" } else { "not contained" };
+    let rung = rung.map_or_else(|| "no".to_string(), |rung| format!("{rung:?}"));
+    let (full_holds, shortcut_holds) = (full.is_none(), witness.is_none());
+    (full_holds != shortcut_holds || full_holds != verdict.holds()).then(|| RawDisagreement {
+        kind: DisagreementKind::ShortcutMismatch,
+        detail: format!(
+            "the full route says {} but the most-general route ({rung} rung) says {} and the \
+             all-probes route says {}",
+            says(full_holds),
+            says(shortcut_holds),
+            says(verdict.holds()),
+        ),
+        violation: None,
+    })
 }
 
 fn valid_containee(q: &ConjunctiveQuery) -> bool {
@@ -600,6 +638,29 @@ mod tests {
         // Multiplicity-free with a projection-bearing containee: the
         // Chaudhuri–Vardi bag-set cell, not the paper fragment.
         assert_eq!(outcome.fragment, FragmentClass::BagSet);
+    }
+
+    #[test]
+    fn the_full_route_agrees_with_the_rungs_on_each_rung() {
+        // Dominance, no mapping, the LP refuting and the LP-only residual.
+        let pairs = [
+            (q("q(x) <- R(x, 'c1'), R(x, 'c2')"), q("p(x) <- R(x, y1), R(x, y2)")),
+            (q("q(x) <- R^3(x, x)"), q("p(x) <- R^2(x, x)")),
+            (q("q(x) <- R(x, x)"), q("p(x) <- S(x, x)")),
+            (
+                q("q(x0, x1) <- R(x1, x1), S(x0, x0), S(x0, 'c0'), S('c0', 'c0')"),
+                q("p(x0, x1) <- R(x1, x1), S(x0, y0), S^2(y1, y0)"),
+            ),
+        ];
+        for (containee, containing) in pairs {
+            let pair = CompiledPair::new(containee.clone(), containing.clone()).unwrap();
+            let verdict = engine_for(&config()).decide_pair(&pair).unwrap();
+            assert!(shortcut_mismatch(&pair, &verdict).is_none(), "{containee} vs {containing}");
+            // A verdict that contradicts the full route is reported.
+            let flipped = Injection::FlipVerdict.apply(verdict, &pair);
+            let raw = shortcut_mismatch(&pair, &flipped).expect("a flipped verdict mismatches");
+            assert_eq!(raw.kind.label(), "shortcut-mismatch");
+        }
     }
 
     #[test]

@@ -199,6 +199,29 @@ pub static CACHE_PROBE_COMPILED: Counter = Counter::new(
     C,
     "cold CompiledProbe builds (memoised probe slots count only their first fill)",
 );
+/// Verdicts decided by a dominating containment mapping.
+pub static CONTAINMENT_DECIDED_BY_DOMINANCE: Counter = Counter::new(
+    "containment.decided_by.dominance",
+    Det,
+    C,
+    "verdicts decided by a containment mapping whose exponents dominate the containee monomial \
+     (contained without an LP)",
+);
+/// Verdicts decided by the LP.
+pub static CONTAINMENT_DECIDED_BY_LP: Counter = Counter::new(
+    "containment.decided_by.lp",
+    Det,
+    C,
+    "verdicts that needed the Theorem 4.1 LP (a contained all-probes verdict counts here when \
+     any of its probes did)",
+);
+/// Verdicts decided by an empty containment-mapping set.
+pub static CONTAINMENT_DECIDED_BY_NO_MAPPING: Counter = Counter::new(
+    "containment.decided_by.no_mapping",
+    Det,
+    C,
+    "verdicts decided by a probe with no containment mapping (the all-ones bag refutes)",
+);
 /// Containment mappings enumerated during probe compilation.
 pub static CONTAINMENT_MAPPINGS: Counter = Counter::new(
     "containment.mappings.enumerated",
@@ -301,7 +324,7 @@ pub static PARSE_QUERIES: Counter =
 /// Every registry cell, sorted by name (the sort is pinned by a test, so
 /// snapshot iteration — and therefore every rendered counter block — is in
 /// stable name order).
-static COUNTERS: [&Counter; 29] = [
+static COUNTERS: [&Counter; 32] = [
     &ALLOC_HEAP_ALLOCS,
     &ALLOC_MONOMIAL_INLINE,
     &ALLOC_MONOMIAL_SPILLS,
@@ -315,6 +338,9 @@ static COUNTERS: [&Counter; 29] = [
     &CACHE_COMPILED_PAIR_HITS,
     &CACHE_COMPILED_PAIR_MISSES,
     &CACHE_PROBE_COMPILED,
+    &CONTAINMENT_DECIDED_BY_DOMINANCE,
+    &CONTAINMENT_DECIDED_BY_LP,
+    &CONTAINMENT_DECIDED_BY_NO_MAPPING,
     &CONTAINMENT_MAPPINGS,
     &CONTAINMENT_PROBES_DECIDED,
     &ENGINE_BATCH_FAILURES,

@@ -2875,7 +2875,9 @@ mod tests {
     /// splices rather than live output).
     fn synthetic_metrics(contained: u64, pairs: u64, volatile: &str) -> String {
         format!(
-            "{{\"counters\":{{\"engine.batch.failures\":0,\"engine.batch.jobs\":0,\
+            "{{\"counters\":{{\"containment.decided_by.dominance\":{contained},\
+             \"containment.decided_by.lp\":0,\"containment.decided_by.no_mapping\":0,\
+             \"engine.batch.failures\":0,\"engine.batch.jobs\":0,\
              \"engine.pairs_decided\":{pairs},\"engine.verdicts.contained\":{contained},\
              \"engine.verdicts.not_contained\":0,\"parse.queries\":2}},\
              \"volatile\":{{{volatile}}},\
