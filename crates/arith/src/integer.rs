@@ -328,6 +328,31 @@ impl Integer {
         ma.get().gcd(mb.get())
     }
 
+    /// Greatest common divisor of the magnitudes of `values`, taken entirely
+    /// on machine words (a `u64` binary GCD), or `None` when the words cannot
+    /// hold it: a value outside `i64` is reached, or the gcd is `2^63`
+    /// (`|i64::MIN|`), which has no positive `i64` form.
+    ///
+    /// This is the row normalisation of the fraction-free kernel. The fold
+    /// stops at the first gcd of 1, so values past that point are never read,
+    /// and a successful fold counts as **one** machine-word integer kernel
+    /// operation in [`crate::stats`], however many values it read. A `None`
+    /// counts nothing: the caller takes the limb path, which counts itself.
+    /// Zero values leave the gcd unchanged, and no values (or only zeros)
+    /// give `Some(0)`.
+    pub fn word_gcd<'a>(values: impl IntoIterator<Item = &'a Integer>) -> Option<i64> {
+        let mut g = 0u64;
+        for value in values {
+            if g == 1 {
+                break;
+            }
+            g = gcd_u64(g, value.small()?.unsigned_abs());
+        }
+        let g = i64::try_from(g).ok()?;
+        crate::stats::record_int_small_hit();
+        Some(g)
+    }
+
     /// Exact division: `self / divisor` when the division leaves no
     /// remainder, `None` when `divisor` is zero or does not divide exactly.
     ///
@@ -674,6 +699,25 @@ mod tests {
         assert_eq!(int(5).sign(), Sign::Positive);
         assert_eq!(int(-5).sign(), Sign::Negative);
         assert_eq!(Integer::from(Natural::zero()).sign(), Sign::Zero);
+    }
+
+    #[test]
+    fn word_gcd_stays_on_words_up_to_the_boundary() {
+        let min = i64::MIN as i128;
+        let word_gcd = |values: &[i128]| {
+            Integer::word_gcd(&values.iter().map(|&v| int(v)).collect::<Vec<_>>())
+        };
+        assert_eq!(word_gcd(&[]), Some(0));
+        assert_eq!(word_gcd(&[0, 0]), Some(0));
+        assert_eq!(word_gcd(&[-12, 0, 18]), Some(6));
+        assert_eq!(word_gcd(&[min, 1 << 62]), Some(1 << 62));
+        assert_eq!(word_gcd(&[min, i64::MAX as i128]), Some(1));
+        // |i64::MIN| = 2^63 has no positive i64 form: the limb path takes it.
+        assert_eq!(word_gcd(&[min]), None);
+        assert_eq!(word_gcd(&[min, 0, min]), None);
+        // A value past i64 is refused, unless the gcd already reached 1.
+        assert_eq!(word_gcd(&[6, 1 << 64]), None);
+        assert_eq!(word_gcd(&[3, 5, 1 << 64]), Some(1));
     }
 
     #[test]

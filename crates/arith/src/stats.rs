@@ -35,7 +35,8 @@ pub(crate) fn record_big_fallback() {
     ARITH_BIG_FALLBACKS.incr();
 }
 
-/// Records one integer kernel operation (exact division, gcd) served by the
+/// Records one integer kernel operation (exact division, gcd, or one whole
+/// [`Integer::word_gcd`](crate::Integer::word_gcd) row fold) served by the
 /// machine-word path.
 #[inline]
 pub(crate) fn record_int_small_hit() {

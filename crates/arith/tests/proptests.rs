@@ -332,6 +332,40 @@ proptest! {
     }
 
     #[test]
+    fn word_gcd_divides_by_the_integer_gcd(
+        common in prop_oneof![1i128..=12, Just(1i128 << 62), Just(1i128 << 63)],
+        parts in proptest::collection::vec(prop_oneof![boundary_i128(), -64i128..=64], 0..6),
+    ) {
+        // Values with a shared factor, around and past both i64 boundaries
+        // (`i64::MIN` and a gcd of exactly 2^63 among them): the word path
+        // must either refuse or return the gcd that `Integer::gcd` folds to,
+        // and then divide every value exactly, without wrapping.
+        let values: Vec<Integer> = parts
+            .iter()
+            .filter_map(|&part| part.checked_mul(common))
+            .map(Integer::from)
+            .collect();
+        let fold = values.iter().fold(Natural::zero(), |g, v| v.gcd(&Integer::from(g)));
+        match Integer::word_gcd(&values) {
+            Some(g) => {
+                prop_assert_eq!(Natural::from(g.unsigned_abs()), fold.clone());
+                prop_assert!(g >= 0);
+                if g > 1 {
+                    let divisor = Integer::from(g);
+                    for v in &values {
+                        let word = v.to_i64().expect("a gcd above 1 reads every value");
+                        prop_assert_eq!(Integer::from(word / g), v.exact_div(&divisor));
+                    }
+                }
+            }
+            None => prop_assert!(
+                fold == Natural::from(1u64 << 63) || values.iter().any(|v| v.to_i64().is_none()),
+                "the word path refused {:?} with gcd {}", values, fold
+            ),
+        }
+    }
+
+    #[test]
     fn rational_fast_and_big_paths_are_bit_identical(
         an in any::<i64>(), ad in 1..10_000i64,
         bn in any::<i64>(), bd in 1..10_000i64,

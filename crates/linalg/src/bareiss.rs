@@ -20,13 +20,17 @@
 //! dominates the run once pivot values outgrow machine words. This kernel
 //! keeps the whole tableau in integers instead:
 //!
-//! * each row `i` stores integer coefficients plus one positive denominator
-//!   `d_i`, representing the rational row `r_i / d_i`;
+//! * row `i` stores integers representing the rational row `r_i / d_i`; the
+//!   denominator `d_i > 0` is the row's own entry in its basic column, so it
+//!   is not stored;
 //! * a pivot on `(leave, enter)` with stored pivot `L` updates every other
 //!   row by the two-term cross-multiplication `r_i ← L·r_i − r_i[enter]·r_l`
-//!   (the Bareiss step, [`IntRow::eliminate_fraction_free`]), with a
-//!   **single** exact division per row — the row is reduced by the gcd of
-//!   its entries, rhs and denominator, via [`Integer::checked_exact_div`];
+//!   (the Bareiss step, [`IntRow::eliminate_fraction_free`]) and then
+//!   divides the row and its rhs by their gcd — a **single** exact division
+//!   per row, on machine words (one `u64` binary GCD) whenever every value
+//!   fits `i64`. The step multiplies the basic entry by `L` (the leave row
+//!   is zero there) and the division divides it with the rest, so it stays
+//!   the denominator; the leave row's new basic entry is `L` itself;
 //! * the strict Bareiss variant divides by the previous pivot instead, but
 //!   it needs a denominator shared by *all* rows, which forces every row —
 //!   including the untouched ones — to be rescaled on every pivot. On the
@@ -36,18 +40,37 @@
 //!   entirely, and the per-row gcd bounds coefficient growth at least as
 //!   tightly as the previous-pivot division.
 //!
+//! The phase-1 tableau is stored at half its textbook width. Row `i` reads
+//! `a_i·x − s_i = b_i` with a surplus `s_i ≥ 0`, and a row with `b_i > 0`
+//! also gets an artificial `a_i` whose column starts as `+e_i`, the
+//! negation of the surplus column. Row operations are linear, so the two
+//! columns stay negations of each other in every row after every pivot:
+//! only the `x | s` columns (width `n + m`) are stored, and an artificial is
+//! read and eliminated through its surplus column with the sign flipped.
+//! Prices come from one maintained objective row: `S / λ` (`λ > 0`) is the
+//! phase-1 reduced-cost row over the stored columns, and each pivot
+//! eliminates it with the same Bareiss step (`λ ← L·λ`). Basic columns are
+//! exactly zero in `S`, and artificial `a_i` prices at `1 − S[s_i] / λ`, so
+//! Bland's rule takes the first negative entry of `S` and otherwise the
+//! first artificial with `λ − S[s_i] < 0`.
+//!
 //! Every decision the simplex takes — Bland's entering column (sign of a
 //! reduced cost), the ratio test (comparison of `rhs_i/coeff_i` across
 //! rows), tie-breaking, termination — is invariant under scaling a row by a
 //! positive constant, so the pivot sequence is exactly that of the rational
 //! tableau on the same input, and witness components are read off as
-//! canonical [`Rational`]s. The Fourier–Motzkin differential proptests pin
-//! the verdicts, and the `tests/golden/` fixtures pin the witnesses. The
-//! kernel deliberately has no shortcut around the tableau (such as
-//! rejecting a row with no positive coefficient up front), so the
-//! `lp.bareiss.pivots` counter stays a pure function of the pivot sequence.
+//! canonical [`Rational`]s. The fold changes no stored row (artificial
+//! entries are multiples of surplus entries, so every row gcd is the same)
+//! and no sign, and artificials keep their textbook indices `n + m + j` in
+//! the basis, so tie-breaks compare the same numbers. `tests/pivot_pins.rs`
+//! pins witnesses and pivot counts recorded from the full-width tableau,
+//! the Fourier–Motzkin differential proptests pin the verdicts, and the
+//! `tests/golden/` fixtures pin the witnesses. The kernel deliberately has
+//! no shortcut around the tableau (such as rejecting a row with no positive
+//! coefficient up front), so the `lp.bareiss.pivots` counter stays a pure
+//! function of the pivot sequence.
 
-use dioph_arith::{Integer, Natural, Rational};
+use dioph_arith::{Integer, Rational};
 
 use crate::error::{iteration_budget, LinalgError};
 use crate::row::IntRow;
@@ -116,11 +139,11 @@ pub fn feasible_point_int_with_budget(
 }
 
 /// [`feasible_point_int_with_budget`] through a caller-provided scratch:
-/// every working buffer (standard-form staging, tableau rows, per-pivot
-/// reduced costs and basis bitmap, elimination merge output) is drawn from
-/// `scratch` and recycled there, so a warmed scratch makes the whole run
-/// allocation-free apart from the returned witness. Reuse is capacity-only:
-/// pivots and outcome are bit-identical to the fresh-allocation route.
+/// every working buffer (tableau rows, objective row, basis, elimination
+/// merge output) is drawn from `scratch` and recycled there, so a warmed
+/// scratch makes the whole run allocation-free apart from the returned
+/// witness. Reuse is capacity-only: pivots and outcome are bit-identical to
+/// the fresh-allocation route.
 pub(crate) fn feasible_point_int_in(
     n: usize,
     a: &[IntRow],
@@ -132,38 +155,7 @@ pub(crate) fn feasible_point_int_in(
     for row in a {
         assert_eq!(row.dim(), n, "row dimension mismatch in simplex input");
     }
-    if a.is_empty() {
-        return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
-    }
-
-    // Standard form: a_i·x - s_i = b_i with s_i ≥ 0, rows normalised to a
-    // non-negative rhs. A row whose rhs was ≤ 0 can start on its surplus
-    // (flipped to +1); every other row receives an artificial variable.
-    //
-    // Column layout: [ x (n) | s (m) | artificials (k) ].
-    scratch.reset();
-    for (i, (a_row, b_i)) in a.iter().zip(b).enumerate() {
-        let mut entries = scratch.pool.take();
-        entries.extend_from_slice(a_row.entries());
-        entries.push((n + i, Integer::minus_one()));
-        let mut rhs_i = b_i.clone();
-        if rhs_i.is_negative() || rhs_i.is_zero() {
-            // Flip the equation so the rhs is non-negative and the surplus
-            // column carries +1 (it then serves as the initial basis).
-            for (_, value) in entries.iter_mut() {
-                let taken = core::mem::take(value);
-                *value = -taken;
-            }
-            rhs_i = -rhs_i;
-            scratch.needs_artificial.push(false);
-        } else {
-            scratch.needs_artificial.push(true);
-        }
-        scratch.staged.push(entries);
-        scratch.rhs.push(rhs_i);
-    }
-
-    attach_artificials_and_run(n, max_iterations, scratch)
+    solve(n, a, b.iter().cloned(), max_iterations, scratch)
 }
 
 /// The feasibility front door for MPI-derived systems: decides
@@ -176,57 +168,74 @@ pub(crate) fn feasible_point_scaled_in(
     a: &[IntRow],
     scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
+    debug_assert!(a.iter().all(|row| row.dim() == n), "row dimension mismatch in simplex input");
     let max_iterations = iteration_budget(n + 2 * a.len(), a.len());
-    if a.is_empty() {
-        return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
-    }
-    scratch.reset();
-    for (i, a_row) in a.iter().enumerate() {
-        debug_assert_eq!(a_row.dim(), n, "row dimension mismatch in simplex input");
-        let mut entries = scratch.pool.take();
-        entries.extend_from_slice(a_row.entries());
-        entries.push((n + i, Integer::minus_one()));
-        // rhs = 1 is positive, so every row starts on an artificial variable
-        // (the `b_i > 0` arm of the general construction).
-        scratch.needs_artificial.push(true);
-        scratch.staged.push(entries);
-        scratch.rhs.push(Integer::one());
-    }
-
-    attach_artificials_and_run(n, max_iterations, scratch)
+    solve(n, a, core::iter::repeat(Integer::one()), max_iterations, scratch)
 }
 
-/// Second construction pass plus the pivot loop: artificial columns are
-/// attached once the artificial count is known (every row must be staged
-/// first), then the fraction-free pivoting runs to optimality.
-fn attach_artificials_and_run(
+/// Builds the half-width phase-1 tableau of `A·x ≥ b` in `scratch` and
+/// pivots it to optimality.
+fn solve(
     n: usize,
+    a: &[IntRow],
+    b: impl Iterator<Item = Integer>,
     max_iterations: usize,
     scratch: &mut LpScratch,
 ) -> Result<SimplexOutcome, LinalgError> {
-    let m = scratch.staged.len();
-    let k = scratch.needs_artificial.iter().filter(|&&needs| needs).count();
-    let total = n + m + k;
-
-    // Per-row positive denominators: row i represents rows[i] / dens[i].
-    scratch.dens.resize(m, Natural::one());
-    {
-        let mut art_idx = 0;
-        for i in 0..m {
-            let mut entries = core::mem::take(&mut scratch.staged[i]);
-            if scratch.needs_artificial[i] {
-                entries.push((n + m + art_idx, Integer::one()));
-                scratch.basis.push(n + m + art_idx);
-                art_idx += 1;
-            } else {
-                scratch.basis.push(n + i);
-            }
-            scratch.rows.push(IntRow::new(total, entries));
-        }
-        scratch.staged.clear();
+    if a.is_empty() {
+        return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
     }
 
-    let LpScratch { rows, rhs, dens, basis, in_basis, reduced, merge_buf, .. } = scratch;
+    // Standard form: a_i·x − s_i = b_i with s_i ≥ 0, rows normalised to a
+    // non-negative rhs. A row whose rhs was ≤ 0 is flipped and starts on
+    // its surplus (now +1); every other row starts on an artificial, whose
+    // column is the negated surplus column and is not stored. In the basis,
+    // artificial j keeps its textbook column index n + m + j.
+    //
+    // Stored column layout: [ x (n) | s (m) ].
+    let m = a.len();
+    let width = n + m;
+    scratch.reset();
+    let LpScratch { rows, rhs, basis, art_row, objective, merge_buf, pool } = scratch;
+    for (i, (a_row, mut rhs_i)) in a.iter().zip(b).enumerate() {
+        // A cold pool hands out empty vectors: size each in one allocation.
+        let mut entries = pool.take();
+        entries.reserve(a_row.entries().len() + 1);
+        entries.extend_from_slice(a_row.entries());
+        entries.push((n + i, Integer::minus_one()));
+        if rhs_i.is_positive() {
+            basis.push(width + art_row.len());
+            art_row.push(i);
+        } else {
+            for (_, value) in entries.iter_mut() {
+                let taken = core::mem::take(value);
+                *value = -taken;
+            }
+            rhs_i = -rhs_i;
+            basis.push(n + i);
+        }
+        rows.push(IntRow::new(width, entries));
+        rhs.push(rhs_i);
+    }
+
+    // The phase-1 objective row, scaled: S / λ is the reduced-cost row over
+    // the stored columns. With every artificial basic and cost 1 on the
+    // artificials, that is −Σ r_i over the artificial rows (the artificial
+    // columns themselves price at zero): −Σ a_i on x, summed densely in the
+    // merge buffer, and +1 on each of those rows' surplus columns.
+    merge_buf.clear();
+    merge_buf.extend((0..n).map(|j| (j, Integer::zero())));
+    for &i in art_row.iter() {
+        for (col, value) in rows[i].entries().iter().take_while(|(col, _)| *col < n) {
+            merge_buf[*col].1 -= value;
+        }
+    }
+    let mut cost = core::mem::take(objective).into_entries();
+    cost.clear();
+    cost.extend(merge_buf.drain(..).filter(|(_, value)| !value.is_zero()));
+    cost.extend(art_row.iter().map(|&i| (n + i, Integer::one())));
+    *objective = IntRow::new(width, cost);
+    let mut scale = Integer::one();
     let mut iterations = 0usize;
 
     loop {
@@ -236,122 +245,95 @@ fn attach_artificials_and_run(
             return Err(LinalgError::IterationBudget { iterations: max_iterations });
         }
 
-        // Reduced costs. The phase-1 cost vector is 0/1 (1 exactly on the
-        // artificial columns), so r_j = c_j − Σ r_i[j] / d_i over the
-        // artificial-basic rows. Scaled by the positive common denominator
-        // L = lcm(d_i) of those rows, L·r_j = L·c_j − Σ r_i[j]·(L / d_i) is
-        // an integer with the sign of r_j — and signs are all Bland's rule
-        // reads. While every d_i is 1 (the first iteration, and whenever the
-        // gcd normalisation brought a row back down) this is plain integer
-        // subtraction.
-        in_basis.clear();
-        in_basis.resize(total, false);
-        for &basic in basis.iter() {
-            in_basis[basic] = true;
-        }
-        let mut lcm = Natural::one();
-        for (den, &basic) in dens.iter().zip(basis.iter()) {
-            if basic >= n + m && !den.is_one() {
-                lcm = lcm.lcm(den);
-            }
-        }
-        let scaled_cost = Integer::from(lcm.clone());
-        reduced.clear();
-        for j in 0..total {
-            reduced.push(if j >= n + m { scaled_cost.clone() } else { Integer::zero() });
-        }
-        for ((row, den), &basic) in rows.iter().zip(dens.iter()).zip(basis.iter()) {
-            if basic < n + m {
-                continue;
-            }
-            if *den == lcm {
-                for (j, value) in row.entries() {
-                    reduced[*j] -= value;
+        // Entering variable (Bland): the smallest index with a negative
+        // reduced cost. Stored columns come first; the artificials follow in
+        // row order, which is the column order of their surplus entries.
+        let stored = objective.entries().iter().find(|(_, value)| value.is_negative());
+        let artificial = || {
+            objective.entries().iter().find_map(|(col, value)| {
+                if *col < n || *value <= scale {
+                    return None;
                 }
-            } else {
-                let multiplier = Integer::from(&lcm / den);
-                for (j, value) in row.entries() {
-                    reduced[*j] -= &(value * &multiplier);
-                }
-            }
-        }
-        // Entering variable: smallest index with negative reduced cost (Bland).
-        let entering = (0..total).find(|&j| !in_basis[j] && reduced[j].is_negative());
+                let j = art_row.binary_search(&(col - n)).ok()?;
+                Some((*col, width + j))
+            })
+        };
+        // (the stored column to read, its basis index, read negated?)
+        let entering = match stored {
+            Some(&(col, _)) => Some((col, col, false)),
+            None => artificial().map(|(col, index)| (col, index, true)),
+        };
 
-        let Some(enter) = entering else {
-            // Optimal. The objective is Σ rhs_i / d_i over the artificial
-            // basics; every basic value is non-negative, so it is zero iff
+        let Some((col, enter, negated)) = entering else {
+            // Optimal. The objective is the sum of the artificial basics'
+            // values; every basic value is non-negative, so it is zero iff
             // each of those right-hand sides is.
             debug_assert!(rhs.iter().all(|value| !value.is_negative()));
             if basis
                 .iter()
                 .zip(rhs.iter())
-                .any(|(&basic, value)| basic >= n + m && !value.is_zero())
+                .any(|(&basic, value)| basic >= width && !value.is_zero())
             {
                 return Ok(SimplexOutcome::Infeasible);
             }
             let mut x = vec![Rational::zero(); n]; // alloc-ok: returned witness
-            for i in 0..m {
-                if basis[i] < n {
-                    // Canonical rational: the value a rational tableau
-                    // would carry.
-                    x[basis[i]] = Rational::new(rhs[i].clone(), dens[i].clone());
+            for ((row, value), &basic) in rows.iter().zip(rhs.iter()).zip(basis.iter()) {
+                if basic < n {
+                    // Canonical rational over the basic-column denominator:
+                    // the value a rational tableau would carry.
+                    let den = row.get(basic).expect("a basic column holds its row's denominator");
+                    x[basic] = Rational::new(value.clone(), den.magnitude());
                 }
             }
             return Ok(SimplexOutcome::Feasible(x));
         };
+        let column_entry = |stored: &Integer| if negated { -stored } else { stored.clone() };
 
         // Ratio test. Within a row the denominator cancels
         // (`(rhs_i/d_i) / (coeff_i/d_i) = rhs_i/coeff_i`), so the cross-row
         // comparison `rhs_i/coeff_i < rhs_l/coeff_l` is the integer
         // comparison `rhs_i·coeff_l < rhs_l·coeff_i` (both coeffs positive).
         // Bland tie-breaking by smallest basic variable index.
-        let mut leaving: Option<usize> = None;
-        let mut best: Option<(Integer, Integer)> = None; // (rhs, coeff) of the leader
-        for i in 0..m {
-            let Some(coeff) = rows[i].get(enter) else { continue };
+        let mut leaving: Option<(usize, Integer)> = None; // (row, coeff) of the leader
+        for (i, row) in rows.iter().enumerate() {
+            let Some(coeff) = row.get(col).map(column_entry) else { continue };
             if !coeff.is_positive() {
                 continue;
             }
-            let better = match (&best, leaving) {
-                (None, _) => true,
-                (Some((best_rhs, best_coeff)), Some(leader)) => {
-                    let lhs = &rhs[i] * best_coeff;
-                    let rhs_side = best_rhs * coeff;
-                    lhs < rhs_side || (lhs == rhs_side && basis[i] < basis[leader])
-                }
-                _ => unreachable!("best and leaving are set together"),
-            };
+            let better = leaving.as_ref().is_none_or(|(leader, best_coeff)| {
+                let lhs = &rhs[i] * best_coeff;
+                let rhs_side = &rhs[*leader] * &coeff;
+                lhs < rhs_side || (lhs == rhs_side && basis[i] < basis[*leader])
+            });
             if better {
-                best = Some((rhs[i].clone(), coeff.clone()));
-                leaving = Some(i);
+                leaving = Some((i, coeff));
             }
         }
 
-        let Some(leave) = leaving else {
+        let Some((leave, pivot)) = leaving else {
             // The phase-1 objective is bounded below by zero, so an unbounded
             // direction cannot occur.
             unreachable!("phase-1 simplex objective cannot be unbounded");
         };
 
-        // Pivot. The stored pivot L is positive; the leave row itself stays
-        // untouched — its denominator simply becomes L (rational value
-        // r_l / L, i.e. the normalised pivot row with a 1 in the enter
-        // column). Every other row with a non-zero enter coefficient F takes
-        // the fraction-free cross-multiplication
-        //     r_i ← L·r_i − F·r_l ,   d_i ← d_i·L ,
-        // followed by one exact gcd reduction of the whole row. Rows with
+        // Pivot. The stored pivot L is positive; the leave row itself is only
+        // normalised, and L becomes its denominator. Every other row with a
+        // non-zero enter coefficient F takes the fraction-free
+        // cross-multiplication r_i ← L·r_i − F·r_l, followed by one exact
+        // gcd reduction of the whole row. Its stored entry in `col` cancels
+        // to zero: F·L − L·F for a stored column, and for an artificial
+        // L·(−F) − F·(−L) on the surplus that carries it negated. Rows with
         // F = 0 are not touched at all — the zero-skipping a shared
         // denominator would lose.
-        let pivot = rows[leave].get(enter).cloned().expect("ratio test picked a non-zero pivot");
         for i in 0..m {
             if i == leave {
                 continue;
             }
-            let factor = rows[i].take(enter);
+            let factor = rows[i].take(col);
             if factor.is_zero() {
                 continue;
             }
+            let factor = column_entry(&factor);
             let (leave_row, target_row) = if leave < i {
                 let (head, tail) = rows.split_at_mut(i);
                 (&head[leave], &mut tail[0])
@@ -359,23 +341,42 @@ fn attach_artificials_and_run(
                 let (head, tail) = rows.split_at_mut(leave);
                 (&tail[0], &mut head[i])
             };
-            target_row.eliminate_fraction_free(&pivot, &factor, leave_row, enter, merge_buf);
+            target_row.eliminate_fraction_free(&pivot, &factor, leave_row, col, merge_buf);
             rhs[i] = &(&pivot * &rhs[i]) - &(&factor * &rhs[leave]);
-            dens[i] = &dens[i] * &pivot.magnitude();
-            normalise_row(target_row, &mut rhs[i], &mut dens[i]);
+            normalise_row(target_row, &mut rhs[i]);
         }
-        dens[leave] = pivot.magnitude();
-        normalise_row(&mut rows[leave], &mut rhs[leave], &mut dens[leave]);
+        // The objective row takes the same step. Its entry for an entering
+        // artificial is λ − S[s_i]; the surplus entry then becomes L·λ, so
+        // the artificial prices at zero, and is kept (no column is skipped).
+        let (cost_factor, skip) = if negated {
+            (&scale - objective.get(col).expect("S[s_i] > λ picked this artificial"), usize::MAX)
+        } else {
+            (objective.take(col), col)
+        };
+        objective.eliminate_fraction_free(&pivot, &cost_factor, &rows[leave], skip, merge_buf);
+        scale = &pivot * &scale;
+        normalise_row(objective, &mut scale);
+        normalise_row(&mut rows[leave], &mut rhs[leave]);
         basis[leave] = enter;
     }
 }
 
-/// Divides a row, its rhs and its denominator by their common gcd — the
-/// single exact division of the fraction-free step. The gcd always includes
-/// the (positive) denominator, so the reduced denominator stays positive and
-/// the row's rational value is untouched.
-fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
-    let mut g: Natural = rhs.gcd(&Integer::from(den.clone()));
+/// Divides a row and its rhs by the gcd of all their values — the single
+/// exact division of the fraction-free step. The gcd includes the row's
+/// positive basic entry (or, for the objective row, the positive scale in
+/// the rhs slot), so it is positive and the row's rational value is
+/// untouched. When every value read fits `i64` the gcd and the division run
+/// on machine words; otherwise they run on limbs.
+fn normalise_row(row: &mut IntRow, rhs: &mut Integer) {
+    let values = core::iter::once(&*rhs).chain(row.entries().iter().map(|(_, value)| value));
+    if let Some(g) = Integer::word_gcd(values) {
+        if g > 1 {
+            row.exact_div_word_assign(g);
+            *rhs = Integer::from(rhs.to_i64().expect("the word path read the rhs") / g);
+        }
+        return;
+    }
+    let mut g = rhs.magnitude();
     for (_, value) in row.entries() {
         if g.is_one() {
             return;
@@ -385,11 +386,10 @@ fn normalise_row(row: &mut IntRow, rhs: &mut Integer, den: &mut Natural) {
     if g.is_one() {
         return;
     }
-    debug_assert!(!g.is_zero(), "a positive denominator keeps the row gcd positive");
-    let divisor = Integer::from(g.clone());
+    debug_assert!(!g.is_zero(), "a positive basic entry keeps the row gcd positive");
+    let divisor = Integer::from(g);
     row.exact_div_assign(&divisor);
     *rhs = rhs.exact_div(&divisor);
-    *den = &*den / &g;
 }
 
 #[cfg(test)]
@@ -447,6 +447,17 @@ mod tests {
             run(&[&[2, -3, 1], &[-1, 4, -2], &[3, 1, -5]], &[1, 1, 1]),
             witness(&["15/8", "21/16", "19/16"])
         );
+        // Coefficients and right-hand sides at i64::MIN, whose flips and
+        // cross-multiplications leave the machine word (recorded from the
+        // full-width fraction-free tableau).
+        let min = i64::MIN;
+        assert_eq!(run(&[&[min, 1], &[1, min], &[1, 1]], &[min, min, 1]), witness(&["1", "0"]));
+        assert_eq!(run(&[&[min, i64::MAX], &[2, -1]], &[min, 1]), witness(&["1/2", "0"]));
+        assert_eq!(
+            run(&[&[min, min, 3], &[1, 0, min], &[0, 1, 1]], &[1, min, 2]),
+            SimplexOutcome::Infeasible
+        );
+        assert_eq!(run(&[&[1, -1], &[-1, 1]], &[min, min]), witness(&["0", "0"]));
     }
 
     #[test]
@@ -521,6 +532,33 @@ mod tests {
                 "1649267441662/1208925819614079418892283",
             ])
         );
+    }
+
+    #[test]
+    fn row_normalisation_is_exact_at_the_word_boundary() {
+        // A row and rhs before and after normalisation, and whether the
+        // machine-word gcd may take the row. |i64::MIN| = 2^63 fits no
+        // positive i64, so a row gcd of exactly 2^63 goes to the limb path.
+        let row = |entries: &[(usize, i128)]| {
+            IntRow::new(4, entries.iter().map(|&(col, v)| (col, Integer::from(v))).collect())
+        };
+        let check =
+            |entries: &[(usize, i128)], rhs: i128, want: &[(usize, i128)], want_rhs: i128| {
+                let (mut r, mut b) = (row(entries), Integer::from(rhs));
+                let values = core::iter::once(&b).chain(r.entries().iter().map(|(_, v)| v));
+                let on_words = Integer::word_gcd(values).is_some();
+                normalise_row(&mut r, &mut b);
+                assert_eq!((r, b), (row(want), Integer::from(want_rhs)), "{entries:?}");
+                on_words
+            };
+        let min = i128::from(i64::MIN);
+        assert!(check(&[(0, min), (2, 1 << 62)], 0, &[(0, -2), (2, 1)], 0));
+        assert!(check(&[(1, 3)], min, &[(1, 3)], min));
+        assert!(check(&[(0, min), (1, 1 << 62)], min, &[(0, -2), (1, 1)], -2));
+        assert!(!check(&[(1, min)], min, &[(1, -1)], -1));
+        assert!(!check(&[(0, min), (3, min)], 0, &[(0, -1), (3, -1)], 0));
+        assert!(!check(&[(0, min), (1, -min)], min, &[(0, -1), (1, 1)], -1));
+        assert!(!check(&[(0, 3 << 64), (1, 6)], 9, &[(0, 1 << 64), (1, 2)], 3));
     }
 
     #[test]

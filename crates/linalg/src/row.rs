@@ -2,9 +2,9 @@
 //!
 //! The strict homogeneous systems of Theorem 4.1 are mostly zeros: a row
 //! `e − e_i` touches only the unknowns appearing in two monomials, and the
-//! phase-1 simplex tableau built from it adds one surplus and at most one
-//! artificial coefficient to each row — a handful of non-zeros in a tableau
-//! whose width grows with the row count. Measured on the benchmark
+//! phase-1 simplex tableau built from it adds one surplus coefficient to
+//! each row (artificial columns are folded into the surplus columns) — a
+//! handful of non-zeros in a tableau whose width grows with the row count. Measured on the benchmark
 //! workloads, those tableaus never come close to filling in, so [`IntRow`]
 //! stores exactly the non-zero entries, sorted by column, and nothing else:
 //! zero-skipping comes from the representation instead of per-loop checks.
@@ -18,8 +18,9 @@ use core::fmt;
 use dioph_arith::Integer;
 
 /// A sparse integer coefficient row over `dim` columns: strictly increasing
-/// column indices, no stored zeros.
-#[derive(Clone, Debug, PartialEq, Eq)]
+/// column indices, no stored zeros. The default is the empty row over zero
+/// columns.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct IntRow {
     dim: usize,
     entries: Vec<(usize, Integer)>,
@@ -92,6 +93,16 @@ impl IntRow {
         }
     }
 
+    /// [`Self::exact_div_assign`] on machine words, for the word path of the
+    /// kernel's gcd normalisation: every entry must be an inline `i64` that
+    /// the positive `divisor` divides.
+    pub(crate) fn exact_div_word_assign(&mut self, divisor: i64) {
+        for (_, value) in &mut self.entries {
+            let word = value.to_i64().expect("the word path divides inline entries only");
+            *value = Integer::from(word / divisor);
+        }
+    }
+
     /// `true` iff every coefficient is zero.
     pub fn is_zero_row(&self) -> bool {
         self.entries.is_empty()
@@ -111,10 +122,11 @@ impl IntRow {
     /// pivot column, whose coefficient the caller already removed with
     /// [`Self::take`]). Exact zeros produced by cancellation are dropped.
     ///
-    /// The sorted two-stream merge writes into `spare` and swaps it with the
-    /// row's entry storage, so a buffer threaded through a pivot loop makes
-    /// every elimination allocation-free in the steady state. On return
-    /// `spare` holds the row's *previous* entries (cleared on next use).
+    /// The sorted two-stream merge writes into `spare` and moves the result
+    /// back into the row's own entry storage, leaving `spare` empty. Each
+    /// buffer therefore stays with its row, so a pivot loop replayed over
+    /// the same rows and the same `spare` allocates nothing once every
+    /// buffer has grown to the size its own run needs.
     pub fn eliminate_fraction_free(
         &mut self,
         pivot: &Integer,
@@ -153,7 +165,8 @@ impl IntRow {
                 spare.push((col, value));
             }
         }
-        core::mem::swap(&mut self.entries, spare);
+        self.entries.clear();
+        self.entries.append(spare);
     }
 }
 

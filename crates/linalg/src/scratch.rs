@@ -2,12 +2,11 @@
 //! workspace's scratch-memory discipline.
 //!
 //! A phase-1 run of [`crate::bareiss`] needs a whole working set per call:
-//! the standard-form construction vectors (entry staging, rhs, basis,
-//! artificial flags), one `in_basis` bitmap plus one `reduced`-cost vector
-//! **per pivot**, and a merge output for every elimination. On the per-probe
-//! hot loop of the containment decider those calls happen thousands of times
-//! per pair with near-identical shapes, so all of that capacity is
-//! recyclable.
+//! the tableau rows with their right-hand sides and basis, the map from
+//! artificial variables to their rows, the maintained objective row, and a
+//! merge output for every elimination. On the per-probe hot loop of the
+//! containment decider those calls happen thousands of times per pair with
+//! near-identical shapes, so all of that capacity is recyclable.
 //!
 //! [`LpScratch`] owns those buffers. [`RowPool`] recycles the entry vectors
 //! that back [`IntRow`]s — tableau rows are torn back down into their entry
@@ -22,7 +21,7 @@
 //! allocation) bumps `alloc.scratch.spills`, and every return to the pool
 //! records the pool's high-water mark in `alloc.pool.rows.hwm`.
 
-use dioph_arith::{Integer, Natural};
+use dioph_arith::Integer;
 
 use crate::row::IntRow;
 
@@ -78,27 +77,25 @@ impl RowPool {
 /// MPI layer builds its systems from the same storage the kernel draws on.
 #[derive(Debug, Default)]
 pub struct LpScratch {
-    /// Standard-form construction: which rows need an artificial variable.
-    pub(crate) needs_artificial: Vec<bool>,
-    /// Standard-form construction: entry vectors staged between the two
-    /// construction passes (drained into `rows` once the artificial count
-    /// is known).
-    pub(crate) staged: Vec<Vec<(usize, Integer)>>,
-    /// The tableau rows.
+    /// The tableau rows, over the `x | s` columns only: each artificial
+    /// column is its row's surplus column negated and is not stored. Row
+    /// `i` represents `rows[i] / d_i`, where `d_i` is the row's own entry in
+    /// its basic column, so no denominator is stored either.
     pub(crate) rows: Vec<IntRow>,
     /// The right-hand sides.
     pub(crate) rhs: Vec<Integer>,
-    /// Per-row positive denominators: row `i` represents `rows[i] / dens[i]`.
-    pub(crate) dens: Vec<Natural>,
-    /// The current basis, one column index per row.
+    /// The current basis, one column index per row; artificial `j` has the
+    /// index `n + m + j`, as in the full-width tableau.
     pub(crate) basis: Vec<usize>,
-    /// Per-pivot bitmap of basic columns (hoisted out of the pivot loop).
-    pub(crate) in_basis: Vec<bool>,
-    /// Per-pivot reduced-cost vector (hoisted out of the pivot loop).
-    pub(crate) reduced: Vec<Integer>,
-    /// Spare output buffer for the elimination merge; after each
-    /// merge it holds the eliminated row's previous entries, ready for the
-    /// next one.
+    /// The row each artificial variable was attached to, in increasing
+    /// order: artificial `j` is read through the surplus column of row
+    /// `art_row[j]`.
+    pub(crate) art_row: Vec<usize>,
+    /// The scaled phase-1 reduced-cost row over the stored columns,
+    /// eliminated along with the tableau on every pivot.
+    pub(crate) objective: IntRow,
+    /// Output buffer of the elimination merge, empty between merges (the
+    /// result moves back into the eliminated row's own storage).
     pub(crate) merge_buf: Vec<(usize, Integer)>,
     /// Recycled entry storage backing the rows above.
     pub(crate) pool: RowPool,
@@ -121,18 +118,14 @@ impl LpScratch {
     /// Clears every buffer for a new kernel run, tearing the previous run's
     /// rows back down into the pool. Capacity is kept everywhere.
     pub(crate) fn reset(&mut self) {
-        self.needs_artificial.clear();
-        for entries in self.staged.drain(..) {
-            self.pool.put(entries);
-        }
-        for row in self.rows.drain(..) {
+        // Reclaimed last row first, so the next run's row `i` pops the entry
+        // storage that row `i` grew to in this one.
+        for row in self.rows.drain(..).rev() {
             self.pool.reclaim(row);
         }
         self.rhs.clear();
-        self.dens.clear();
         self.basis.clear();
-        self.in_basis.clear();
-        self.reduced.clear();
+        self.art_row.clear();
     }
 }
 
@@ -159,15 +152,16 @@ mod tests {
     #[test]
     fn reset_reclaims_rows_and_staged_entries() {
         let mut scratch = LpScratch::default();
-        scratch.staged.push(vec![(0, Integer::one())]);
+        scratch.rows.push(IntRow::new(4, vec![(0, Integer::one())]));
         scratch.rows.push(IntRow::new(4, vec![(2, Integer::from(5))]));
         scratch.rhs.push(Integer::one());
         scratch.basis.push(0);
+        scratch.art_row.push(0);
         scratch.reset();
-        assert!(scratch.staged.is_empty());
         assert!(scratch.rows.is_empty());
         assert!(scratch.rhs.is_empty());
         assert!(scratch.basis.is_empty());
+        assert!(scratch.art_row.is_empty());
         assert_eq!(scratch.pool.held(), 2, "both entry vectors must be recycled");
     }
 }

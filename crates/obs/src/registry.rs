@@ -169,7 +169,8 @@ pub static ARITH_INT_SMALL_HITS: Counter = Counter::new(
     "arith.int_small_hits",
     Vol,
     C,
-    "integer kernel operations (exact division, gcd) served by the machine-word fast path",
+    "integer kernel operations (exact division, gcd) served by the machine-word fast path; \
+     the LP kernel's row normalisation counts once per row",
 );
 /// Rational ops served by the machine-word fast path.
 pub static ARITH_SMALL_HITS: Counter = Counter::new(

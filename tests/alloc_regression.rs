@@ -8,22 +8,50 @@
 //! scratch-memory discipline must stay under a pinned per-probe allocation
 //! bound; a regression that reintroduces per-probe heap traffic fails here
 //! long before it shows up in bench numbers.
+//!
+//! The E4 probes never reach the LP kernel (each system short-circuits on
+//! a zero row), so a second case drives the kernel itself: a warmed
+//! [`LpScratch`] deciding star systems of hundreds of pivots may allocate
+//! the returned witness and nothing else. The cases hold one lock, so the
+//! registry delta of one never sees the other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use diophantus::containment::{Algorithm, BagContainmentDecider, CompiledPair};
+use diophantus::linalg::{FeasibilityEngine, LpScratch, StrictHomogeneousSystem};
+use diophantus::obs::registry::LP_BAREISS_PIVOTS;
 use diophantus::workloads::suite::path_self_containment;
+
+thread_local! {
+    /// Allocations made by the current thread.
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Bumps both the registry cell and the calling thread's own count.
+fn count_alloc() {
+    diophantus::obs::registry::ALLOC_HEAP_ALLOCS.incr();
+    let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Serialises the cases of this binary.
+fn serial() -> MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 /// Delegates to the system allocator, counting allocations into the
 /// `dioph-obs` registry (mirrors the allocator installed by the
-/// `diophantus` binary).
+/// `diophantus` binary) and per thread.
 struct CountingAllocator;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
-// `GlobalAlloc` contract; the registry bump neither allocates nor panics.
+// `GlobalAlloc` contract; the registry bump and the const-initialised
+// thread-local count neither allocate nor panic.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        diophantus::obs::registry::ALLOC_HEAP_ALLOCS.incr();
+        count_alloc();
         System.alloc(layout)
     }
 
@@ -32,12 +60,12 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        diophantus::obs::registry::ALLOC_HEAP_ALLOCS.incr();
+        count_alloc();
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        diophantus::obs::registry::ALLOC_HEAP_ALLOCS.incr();
+        count_alloc();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -47,6 +75,7 @@ static ALLOCATOR: CountingAllocator = CountingAllocator;
 
 #[test]
 fn warm_probe_loop_stays_under_the_allocation_bound() {
+    let _serial = serial();
     // The E4 containee-scaling instance benchmarked in ROADMAP.md: the
     // length-4 path query against itself, whose probe space has 5^5 = 3125
     // probe tuples, decided with the all-probes algorithm.
@@ -79,4 +108,51 @@ fn warm_probe_loop_stays_under_the_allocation_bound() {
     // The scratch actually served the loop: all but the first probe of the
     // pair reused warmed buffers.
     assert_eq!(delta.get("alloc.scratch.reuses"), Some(3124));
+}
+
+/// The Theorem 4.1 system of a Boolean unary star pair, the shape of the
+/// benchmark's LP workload: containee `A^{m_i}('c_i')` for `i < 5`,
+/// containing `A^{r_j}(z_j)` for `j < 3`, one row `m − e_h` per mapping
+/// `h` of the rays onto the constants.
+fn star(m: [i64; 5], rays: [i64; 3]) -> StrictHomogeneousSystem {
+    let mut sys = StrictHomogeneousSystem::new(5);
+    for h in 0..125 {
+        let mut row = m;
+        for (ray, target) in rays.iter().zip([h / 25, h / 5 % 5, h % 5]) {
+            row[target] -= ray;
+        }
+        sys.push_row_i64(&row);
+    }
+    sys
+}
+
+#[test]
+fn warm_scratch_decides_star_systems_allocating_only_the_witness() {
+    let _serial = serial();
+    // One refuted system (Bland re-enters artificial columns on it) and one
+    // feasible one, each several hundred pivots deep.
+    for (m, rays, feasible) in
+        [([2, 2, 1, 1, 1], [2, 4, 1], false), ([4, 3, 4, 2, 1], [4, 3, 2], true)]
+    {
+        let sys = star(m, rays);
+        let mut scratch = LpScratch::new();
+        // The first run grows every row buffer to the size its row reaches;
+        // the second grows the pool's stack that holds them between runs.
+        let cold = sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+        sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+
+        let (allocs, pivots) = (THREAD_ALLOCS.with(Cell::get), LP_BAREISS_PIVOTS.get());
+        let warm = sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+        let allocs = THREAD_ALLOCS.with(Cell::get) - allocs;
+        let pivots = LP_BAREISS_PIVOTS.get() - pivots;
+
+        assert_eq!(warm, cold, "reuse is capacity-only");
+        assert_eq!(warm.is_some(), feasible, "star {m:?} against {rays:?}");
+        assert!(pivots >= 200, "the system must load the kernel: {pivots} pivots");
+        assert_eq!(
+            allocs,
+            u64::from(feasible),
+            "a warmed scratch may allocate the witness and nothing else ({pivots} pivots)"
+        );
+    }
 }
