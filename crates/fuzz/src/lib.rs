@@ -15,7 +15,12 @@
 //!    bags over the schema and a bounded active domain.
 //! 2. **Certificate replay** — a `NotContained` verdict's counterexample bag
 //!    must reproduce its claimed multiplicities under the independent
-//!    evaluator ([`dioph_containment::Counterexample::verify`]).
+//!    evaluator ([`dioph_containment::Counterexample::verify`]). A
+//!    `Contained` verdict whose most-general probe was decided by the LP
+//!    must come with a Gordan certificate: weights `λ ≥ 0` over the
+//!    containment mappings, `Σ λ > 0`, supported on at most `d + 1` of them,
+//!    with `Σ_h λ_h·e_h ≥ (Σ λ)·e` in every coordinate, checked in plain
+//!    integer arithmetic.
 //! 3. **Chandra–Merlin set containment as a necessary condition** — bag
 //!    containment implies set containment, and for projection-free
 //!    containees the bag-set verdict must coincide with the set verdict

@@ -11,7 +11,8 @@ use dioph_bagdb::{
 };
 use dioph_containment::{
     bag_set_containment, set_containment, Algorithm, BagContainment, BagContainmentDecider,
-    CompiledPair, ContainmentError, Counterexample, FeasibilityEngine, ProbeScratch,
+    CompiledPair, CompiledProbe, ContainmentError, Counterexample, FeasibilityEngine, ProbeScratch,
+    Rung,
 };
 use dioph_cq::{Atom, ConjunctiveQuery, Term};
 use dioph_engine::{DecisionEngine, EngineConfig};
@@ -78,7 +79,9 @@ impl Injection {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum DisagreementKind {
     /// A `NotContained` certificate whose bag does not reproduce its claimed
-    /// multiplicities under the independent Equation-2 evaluator.
+    /// multiplicities under the independent Equation-2 evaluator, or a
+    /// `Contained` verdict decided by the LP whose Gordan certificate fails
+    /// its integer check.
     CertificateRejected,
     /// A `Contained` verdict on a pair that is not even set-contained
     /// (Chandra–Merlin is a necessary condition for bag containment).
@@ -346,11 +349,13 @@ fn check_once(
             let mut rng = StdRng::seed_from_u64(db_seed);
             let (databases, refutation) =
                 sweep_databases(containee, containing, &canonical_facts, config, &mut rng);
-            let raw = refutation.map(|(bag, violation)| RawDisagreement {
-                kind: DisagreementKind::ContainedRefuted,
-                detail: format!("verdict is contained but on bag {bag} the {violation}"),
-                violation: Some((bag, violation)),
-            });
+            let raw = refutation
+                .map(|(bag, violation)| RawDisagreement {
+                    kind: DisagreementKind::ContainedRefuted,
+                    detail: format!("verdict is contained but on bag {bag} the {violation}"),
+                    violation: Some((bag, violation)),
+                })
+                .or_else(|| lp_certificate_rejected(pair.most_general()));
             (Ok(verdict), set, bag_set, databases, raw)
         }
     }
@@ -383,6 +388,59 @@ fn shortcut_mismatch(pair: &CompiledPair, verdict: &BagContainment) -> Option<Ra
         ),
         violation: None,
     })
+}
+
+/// For a `Contained` verdict whose most-general probe reached the LP rung:
+/// the Gordan certificate `λ` of the probe's Theorem 4.1 system, checked by
+/// [`check_gordan_certificate`]. `None` when it passes, when the probe is
+/// decided by another rung, or when the LP fails with an error (that
+/// surfaces through the verdict itself).
+fn lp_certificate_rejected(probe: &CompiledProbe) -> Option<RawDisagreement> {
+    if probe.rung() != Rung::Lp {
+        return None;
+    }
+    let detail = match probe.mpi().to_strict_system().dual_weights().ok()? {
+        Some(lambda) => check_gordan_certificate(probe, &lambda).err()?,
+        None => "verdict is contained but the most-general probe's LP has no Gordan certificate"
+            .to_string(),
+    };
+    Some(RawDisagreement { kind: DisagreementKind::CertificateRejected, detail, violation: None })
+}
+
+/// Checks a Gordan certificate for the MPI `P(u) < M(u)` of `probe` with
+/// plain natural arithmetic: one weight `λ_h ≥ 0` per polynomial term
+/// (non-negative by type), `Σ λ > 0`, at most `d + 1` non-zero weights over
+/// `d` unknowns, and `Σ_h λ_h·e_h ≥ (Σ λ)·e` in every coordinate. Such a
+/// `λ` makes every `(e − e_h)·ε > 0` at once impossible for `ε ≥ 0`, which
+/// is why the probe is contained.
+fn check_gordan_certificate(probe: &CompiledProbe, lambda: &[Natural]) -> Result<(), String> {
+    let (e, polynomial) = (probe.mpi().monomial().exponents(), probe.mpi().polynomial());
+    if lambda.len() != polynomial.term_count() {
+        let terms = polynomial.term_count();
+        return Err(format!("{} Gordan weights for {terms} mappings", lambda.len()));
+    }
+    let total = lambda.iter().fold(Natural::zero(), |sum, weight| sum + weight.clone());
+    if total.is_zero() {
+        return Err("every Gordan weight is zero".to_string());
+    }
+    let support = lambda.iter().filter(|weight| !weight.is_zero()).count();
+    if support > e.len() + 1 {
+        return Err(format!("{support} non-zero Gordan weights over {} unknowns", e.len()));
+    }
+    for (j, &e_j) in e.iter().enumerate() {
+        let mut weighted = Natural::zero();
+        for (weight, (_, mono)) in lambda.iter().zip(polynomial.terms()) {
+            weighted += weight * &Natural::from(mono.exponents()[j]);
+        }
+        let bound = &total * &Natural::from(e_j);
+        if weighted < bound {
+            return Err(format!(
+                "the Gordan weights give {weighted} < {bound} on unknown {j} of the most-general \
+                 probe"
+            ));
+        }
+    }
+    Ok(())
 }
 
 fn valid_containee(q: &ConjunctiveQuery) -> bool {
@@ -661,6 +719,37 @@ mod tests {
             let raw = shortcut_mismatch(&pair, &flipped).expect("a flipped verdict mismatches");
             assert_eq!(raw.kind.label(), "shortcut-mismatch");
         }
+    }
+
+    #[test]
+    fn gordan_certificates_are_checked_and_tampering_is_rejected() {
+        // Contained only by the LP: no single mapping dominates the
+        // most-general probe's monomial, but a weighting of them does.
+        let containee = q("q(x0, x1) <- R(x1, x1), S(x0, x0), S(x0, 'c0'), S('c0', 'c0')");
+        let containing = q("p(x0, x1) <- R(x1, x1), S(x0, y0), S^2(y1, y0)");
+        let pair = CompiledPair::new(containee, containing).unwrap();
+        let probe = pair.most_general();
+        assert_eq!(probe.rung(), Rung::Lp);
+        assert!(engine_for(&config()).decide_pair(&pair).unwrap().holds());
+        assert!(lp_certificate_rejected(probe).is_none());
+        let lambda = probe.mpi().to_strict_system().dual_weights().unwrap().expect("contained");
+        assert_eq!(check_gordan_certificate(probe, &lambda), Ok(()));
+
+        // All the weight on one mapping: no mapping dominates, so it fails.
+        let mut tampered = vec![Natural::zero(); lambda.len()];
+        let h = lambda.iter().position(|weight| !weight.is_zero()).unwrap();
+        tampered[h] = Natural::one();
+        let err = check_gordan_certificate(probe, &tampered).unwrap_err();
+        assert!(err.contains("on unknown"), "{err}");
+        // Zero weights, and a weight vector of the wrong length.
+        let zero = vec![Natural::zero(); lambda.len()];
+        assert!(check_gordan_certificate(probe, &zero).unwrap_err().contains("zero"));
+        assert!(check_gordan_certificate(probe, &lambda[1..]).is_err());
+
+        // An LP-refuted probe has no certificate to check.
+        let pair = CompiledPair::new(q("q(x) <- R^3(x, x)"), q("p(x) <- R^2(x, x)")).unwrap();
+        assert_eq!(pair.most_general().rung(), Rung::Lp);
+        assert!(pair.most_general().mpi().to_strict_system().dual_weights().unwrap().is_none());
     }
 
     #[test]

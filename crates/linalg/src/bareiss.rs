@@ -12,8 +12,7 @@
 //! the Diophantine-solution problem for MPIs). Bland's rule guarantees
 //! termination (no cycling). Strict inequalities are handled one level up,
 //! by [`StrictHomogeneousSystem`](crate::StrictHomogeneousSystem), via the
-//! homogeneity of the systems produced by the paper's reduction:
-//! `A·x > 0, x ≥ 0` is rationally feasible iff `A·x ≥ 1, x ≥ 0` is.
+//! transposed (Gordan) system it builds from the rows of `A·x > 0`.
 //!
 //! A textbook rational tableau reduces every entry to lowest terms after
 //! every arithmetic operation — one gcd **per entry per pivot**, which
@@ -47,12 +46,22 @@
 //! columns stay negations of each other in every row after every pivot:
 //! only the `x | s` columns (width `n + m`) are stored, and an artificial is
 //! read and eliminated through its surplus column with the sign flipped.
-//! Prices come from one maintained objective row: `S / λ` (`λ > 0`) is the
+//! Prices come from one maintained objective row: `S / σ` (`σ > 0`) is the
 //! phase-1 reduced-cost row over the stored columns, and each pivot
-//! eliminates it with the same Bareiss step (`λ ← L·λ`). Basic columns are
-//! exactly zero in `S`, and artificial `a_i` prices at `1 − S[s_i] / λ`, so
+//! eliminates it with the same Bareiss step (`σ ← L·σ`). Basic columns are
+//! exactly zero in `S`, and artificial `a_i` prices at `1 − S[s_i] / σ`, so
 //! Bland's rule takes the first negative entry of `S` and otherwise the
-//! first artificial with `λ − S[s_i] < 0`.
+//! first artificial with `σ − S[s_i] < 0`.
+//!
+//! The run leaves its final tableau, basis and objective row in the
+//! [`LpScratch`]; callers read what they need from there and nothing else
+//! is materialised. The primal point is the basic solution. The surplus
+//! prices are the phase-1 duals: surplus `s_i` has cost 0 and column `−e_i`,
+//! so its reduced cost is `0 − (−e_i)·y = y_i` for the simplex multipliers
+//! `y = c_B·B⁻¹`, and at the optimum `S[s_i] / σ = y_i ≥ 0` with
+//! `b·y` equal to the optimal phase-1 objective. Row flips are row
+//! operations, which leave reduced costs unchanged, so this holds for
+//! flipped rows too.
 //!
 //! Every decision the simplex takes — Bland's entering column (sign of a
 //! reduced cost), the ratio test (comparison of `rhs_i/coeff_i` across
@@ -155,70 +164,88 @@ pub(crate) fn feasible_point_int_in(
     for row in a {
         assert_eq!(row.dim(), n, "row dimension mismatch in simplex input");
     }
-    solve(n, a, b.iter().cloned(), max_iterations, scratch)
-}
-
-/// The feasibility front door for MPI-derived systems: decides
-/// `A·x ≥ 1, x ≥ 0` (the homogeneity scaling of `A·x > 0`) for the stored
-/// integer rows directly, with no materialised `b` and no row clones.
-/// Pivots and outcome are bit-identical to [`feasible_point_int`] on cloned
-/// rows with `b = 1`.
-pub(crate) fn feasible_point_scaled_in(
-    n: usize,
-    a: &[IntRow],
-    scratch: &mut LpScratch,
-) -> Result<SimplexOutcome, LinalgError> {
-    debug_assert!(a.iter().all(|row| row.dim() == n), "row dimension mismatch in simplex input");
-    let max_iterations = iteration_budget(n + 2 * a.len(), a.len());
-    solve(n, a, core::iter::repeat(Integer::one()), max_iterations, scratch)
-}
-
-/// Builds the half-width phase-1 tableau of `A·x ≥ b` in `scratch` and
-/// pivots it to optimality.
-fn solve(
-    n: usize,
-    a: &[IntRow],
-    b: impl Iterator<Item = Integer>,
-    max_iterations: usize,
-    scratch: &mut LpScratch,
-) -> Result<SimplexOutcome, LinalgError> {
     if a.is_empty() {
         return Ok(SimplexOutcome::Feasible(vec![Rational::zero(); n])); // alloc-ok: returned witness
     }
-
-    // Standard form: a_i·x − s_i = b_i with s_i ≥ 0, rows normalised to a
-    // non-negative rhs. A row whose rhs was ≤ 0 is flipped and starts on
-    // its surplus (now +1); every other row starts on an artificial, whose
-    // column is the negated surplus column and is not stored. In the basis,
-    // artificial j keeps its textbook column index n + m + j.
-    //
-    // Stored column layout: [ x (n) | s (m) ].
-    let m = a.len();
-    let width = n + m;
+    let width = n + a.len();
     scratch.reset();
-    let LpScratch { rows, rhs, basis, art_row, objective, merge_buf, pool } = scratch;
-    for (i, (a_row, mut rhs_i)) in a.iter().zip(b).enumerate() {
+    for (a_row, b_i) in a.iter().zip(b) {
         // A cold pool hands out empty vectors: size each in one allocation.
-        let mut entries = pool.take();
+        let mut entries = scratch.pool.take();
         entries.reserve(a_row.entries().len() + 1);
         entries.extend_from_slice(a_row.entries());
-        entries.push((n + i, Integer::minus_one()));
-        if rhs_i.is_positive() {
-            basis.push(width + art_row.len());
-            art_row.push(i);
-        } else {
-            for (_, value) in entries.iter_mut() {
-                let taken = core::mem::take(value);
-                *value = -taken;
-            }
-            rhs_i = -rhs_i;
-            basis.push(n + i);
-        }
-        rows.push(IntRow::new(width, entries));
-        rhs.push(rhs_i);
+        push_row(scratch, n, width, entries, b_i.clone());
     }
+    Ok(if solve(n, max_iterations, scratch)? {
+        SimplexOutcome::Feasible(basic_point(scratch, n))
+    } else {
+        SimplexOutcome::Infeasible
+    })
+}
 
-    // The phase-1 objective row, scaled: S / λ is the reduced-cost row over
+/// Appends the row `a·x ≥ rhs` to the tableau being loaded in `scratch`:
+/// `entries` holds the non-zeros of `a` over the `n` structural columns,
+/// and `width = n + m` for the `m` rows the finished tableau holds. As the
+/// `i`-th row loaded it reads `a·x − s_i = rhs`, with its surplus at column
+/// `n + i`. A row whose rhs is `≤ 0` is flipped and starts on its surplus
+/// (now `+1`); every other row starts on an artificial, whose column is the
+/// negated surplus column and is not stored. In the basis, artificial `j`
+/// keeps its textbook column index `width + j`.
+pub(crate) fn push_row(
+    scratch: &mut LpScratch,
+    n: usize,
+    width: usize,
+    mut entries: Vec<(usize, Integer)>,
+    mut rhs: Integer,
+) {
+    let i = scratch.rows.len();
+    entries.push((n + i, Integer::minus_one()));
+    if rhs.is_positive() {
+        scratch.basis.push(width + scratch.art_row.len());
+        scratch.art_row.push(i);
+    } else {
+        for (_, value) in entries.iter_mut() {
+            let taken = core::mem::take(value);
+            *value = -taken;
+        }
+        rhs = -rhs;
+        scratch.basis.push(n + i);
+    }
+    scratch.rows.push(IntRow::new(width, entries));
+    scratch.rhs.push(rhs);
+}
+
+/// The basic solution of the final tableau in `scratch` over its first `n`
+/// columns: the feasible point after [`solve`] returned `true`.
+pub(crate) fn basic_point(scratch: &LpScratch, n: usize) -> Vec<Rational> {
+    let mut x = vec![Rational::zero(); n]; // alloc-ok: returned witness
+    for ((row, value), &basic) in scratch.rows.iter().zip(&scratch.rhs).zip(&scratch.basis) {
+        if basic < n {
+            // Canonical rational over the basic-column denominator: the
+            // value a rational tableau would carry.
+            let den = row.get(basic).expect("a basic column holds its row's denominator");
+            x[basic] = Rational::new(value.clone(), den.magnitude());
+        }
+    }
+    x
+}
+
+/// Pivots the half-width phase-1 tableau loaded in `scratch` (by
+/// [`push_row`], over `n` structural columns) to optimality. Returns `true`
+/// iff the polyhedron is non-empty. The final tableau and objective row
+/// stay in `scratch` for the caller to read: [`basic_point`] for the
+/// feasible point, and the objective row for the phase-1 duals.
+pub(crate) fn solve(
+    n: usize,
+    max_iterations: usize,
+    scratch: &mut LpScratch,
+) -> Result<bool, LinalgError> {
+    // Stored column layout: [ x (n) | s (m) ].
+    let m = scratch.rows.len();
+    let width = n + m;
+    let LpScratch { rows, rhs, basis, art_row, objective, merge_buf, .. } = scratch;
+
+    // The phase-1 objective row, scaled: S / σ is the reduced-cost row over
     // the stored columns. With every artificial basic and cost 1 on the
     // artificials, that is −Σ r_i over the artificial rows (the artificial
     // columns themselves price at zero): −Σ a_i on x, summed densely in the
@@ -269,23 +296,10 @@ fn solve(
             // values; every basic value is non-negative, so it is zero iff
             // each of those right-hand sides is.
             debug_assert!(rhs.iter().all(|value| !value.is_negative()));
-            if basis
+            return Ok(!basis
                 .iter()
                 .zip(rhs.iter())
-                .any(|(&basic, value)| basic >= width && !value.is_zero())
-            {
-                return Ok(SimplexOutcome::Infeasible);
-            }
-            let mut x = vec![Rational::zero(); n]; // alloc-ok: returned witness
-            for ((row, value), &basic) in rows.iter().zip(rhs.iter()).zip(basis.iter()) {
-                if basic < n {
-                    // Canonical rational over the basic-column denominator:
-                    // the value a rational tableau would carry.
-                    let den = row.get(basic).expect("a basic column holds its row's denominator");
-                    x[basic] = Rational::new(value.clone(), den.magnitude());
-                }
-            }
-            return Ok(SimplexOutcome::Feasible(x));
+                .any(|(&basic, value)| basic >= width && !value.is_zero()));
         };
         let column_entry = |stored: &Integer| if negated { -stored } else { stored.clone() };
 
@@ -346,10 +360,10 @@ fn solve(
             normalise_row(target_row, &mut rhs[i]);
         }
         // The objective row takes the same step. Its entry for an entering
-        // artificial is λ − S[s_i]; the surplus entry then becomes L·λ, so
+        // artificial is σ − S[s_i]; the surplus entry then becomes L·σ, so
         // the artificial prices at zero, and is kept (no column is skipped).
         let (cost_factor, skip) = if negated {
-            (&scale - objective.get(col).expect("S[s_i] > λ picked this artificial"), usize::MAX)
+            (&scale - objective.get(col).expect("S[s_i] > σ picked this artificial"), usize::MAX)
         } else {
             (objective.take(col), col)
         };

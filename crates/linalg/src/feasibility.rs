@@ -15,15 +15,45 @@
 //! [`StrictHomogeneousSystem`] captures exactly that shape and decides it
 //! with the exact fraction-free simplex of [`crate::bareiss`], extracting
 //! natural witnesses. The rows are stored as sparse **integer** [`IntRow`]s
-//! built straight from the non-zero exponent differences, which the kernel
-//! consumes as-is. Fourier–Motzkin elimination stays reachable through
-//! [`FeasibilityEngine::FourierMotzkin`] as the differential oracle that
-//! tests and benches compare the kernel against.
+//! built straight from the non-zero exponent differences. Fourier–Motzkin
+//! elimination stays reachable through [`FeasibilityEngine::FourierMotzkin`]
+//! as the differential oracle that tests and benches compare the kernel
+//! against.
+//!
+//! # The Gordan dual
+//!
+//! Write `A` for the `k × d` matrix of the rows. The kernel does not solve
+//! `A·ε ≥ 1, ε ≥ 0` (`k` rows, one artificial per row). By Gordan's
+//! alternative (Ville's form), exactly one of these holds:
+//!
+//! ```text
+//!     ∃ ε ≥ 0 :  A·ε > 0          or          ∃ λ ≥ 0, λ ≠ 0 :  Aᵀ·λ ≤ 0
+//! ```
+//!
+//! so the kernel decides the transposed system instead, over the `k`
+//! weights `λ_h`: one row `Σ_h −A[h][j]·λ_h ≥ 0` per unknown `j`, and the
+//! normalisation `Σ_h λ_h ≥ 1`. That is `d + 1` rows and a single
+//! artificial (the zero right-hand sides start on their surplus). For an
+//! MPI, `A[h] = e − e_h`, so `λ` weights the mappings' exponent vectors
+//! into a combination that dominates `e`; a one-hot `λ` is the onto-mapping
+//! (dominance) condition of Ioannidis and Ramakrishnan.
+//!
+//! * Dual feasible: the strict system has no solution, and the run stops
+//!   there without reading `λ` ([`StrictHomogeneousSystem::dual_weights`]
+//!   reads it, off the hot path).
+//! * Dual infeasible: `ε_j` is the final price `S[k + j]` of surplus `j`,
+//!   divided by the gcd of those `d` prices. Proof: the surplus prices are
+//!   the phase-1 duals `y ≥ 0` (see [`crate::bareiss`]). The dual of the
+//!   phase-1 LP `min a` reads, on column `λ_h`,
+//!   `−Σ_j A[h][j]·y_j + y_d ≤ 0`, that is `A[h]·y[..d] ≥ y_d`; and
+//!   `y_d = b·y` is the optimal phase-1 objective, which is `> 0` exactly
+//!   when the dual is infeasible. So `A·y[..d] > 0` with `y[..d] ≥ 0`, and
+//!   dividing by a positive gcd keeps both.
 
 use dioph_arith::{Integer, Natural, Rational};
 
-use crate::bareiss::{self, SimplexOutcome};
-use crate::error::LinalgError;
+use crate::bareiss;
+use crate::error::{iteration_budget, LinalgError};
 use crate::fourier_motzkin::{self, FmOutcome};
 use crate::row::IntRow;
 use crate::scratch::{LpScratch, RowPool};
@@ -187,13 +217,10 @@ impl StrictHomogeneousSystem {
         }
         match engine {
             FeasibilityEngine::Simplex => {
-                // Homogeneity: A·ε > 0, ε ≥ 0 feasible  ⟺  A·ε ≥ 1, ε ≥ 0
-                // feasible — the scaled kernel bakes in b = 1 and takes the
-                // stored integer rows untranslated.
-                match bareiss::feasible_point_scaled_in(self.dimension, &self.rows, scratch)? {
-                    SimplexOutcome::Feasible(x) => Ok(Some(x)),
-                    SimplexOutcome::Infeasible => Ok(None),
+                if self.solve_dual_in(scratch)? {
+                    return Ok(None);
                 }
+                Ok(Some(self.witness_from_prices(scratch)))
             }
             FeasibilityEngine::FourierMotzkin => {
                 // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
@@ -204,6 +231,66 @@ impl StrictHomogeneousSystem {
                 }
             }
         }
+    }
+
+    /// The Gordan certificate of infeasibility: natural weights `λ ≥ 0`,
+    /// one per row, with `Σ λ > 0` and `Σ_h λ_h·rows[h] ≤ 0` in every
+    /// coordinate, supported on at most `dimension + 1` rows (a basic
+    /// solution of the transposed system). `None` iff the strict system is
+    /// feasible. Not on the decision path: the verdict never reads `λ`.
+    ///
+    /// # Errors
+    /// As [`Self::rational_solution`].
+    pub fn dual_weights(&self) -> Result<Option<Vec<Natural>>, LinalgError> {
+        let mut scratch = LpScratch::default();
+        if !self.solve_dual_in(&mut scratch)? {
+            return Ok(None);
+        }
+        Ok(Some(scale_to_naturals(&bareiss::basic_point(&scratch, self.rows.len()))))
+    }
+
+    /// Loads the transposed system (see the module docs) into `scratch`,
+    /// its rows drawn from the scratch's pool, and runs the kernel on it.
+    /// Returns `true` iff the dual is feasible, i.e. the strict system is
+    /// not.
+    fn solve_dual_in(&self, scratch: &mut LpScratch) -> Result<bool, LinalgError> {
+        let (k, d) = (self.rows.len(), self.dimension);
+        let width = k + d + 1;
+        scratch.reset();
+        for j in 0..d {
+            let mut entries = scratch.pool.take();
+            entries.extend(
+                self.rows.iter().enumerate().filter_map(|(h, row)| Some((h, -row.get(j)?))),
+            );
+            bareiss::push_row(scratch, k, width, entries, Integer::zero());
+        }
+        let mut entries = scratch.pool.take();
+        entries.reserve(k + 1);
+        entries.extend((0..k).map(|h| (h, Integer::one())));
+        bareiss::push_row(scratch, k, width, entries, Integer::one());
+        bareiss::solve(k, iteration_budget(k + 2 * (d + 1), d + 1), scratch)
+    }
+
+    /// Reads `ε` off the final prices of an infeasible dual run: the
+    /// surplus prices of the `d` unknown rows over their gcd.
+    fn witness_from_prices(&self, scratch: &LpScratch) -> Vec<Rational> {
+        let k = self.rows.len();
+        let prices = scratch.objective.entries();
+        let start = prices.partition_point(|(col, _)| *col < k);
+        let end = prices.partition_point(|(col, _)| *col < k + self.dimension);
+        let prices = &prices[start..end];
+        let gcd = match Integer::word_gcd(prices.iter().map(|(_, price)| price)) {
+            Some(g) => Integer::from(g),
+            None => Integer::from(
+                prices.iter().fold(Natural::zero(), |g, (_, price)| price.gcd(&Integer::from(g))),
+            ),
+        };
+        debug_assert!(gcd.is_positive(), "an infeasible dual prices some surplus above zero");
+        let mut epsilon = vec![Rational::zero(); self.dimension]; // alloc-ok: returned witness
+        for (col, price) in prices {
+            epsilon[col - k] = Rational::from(price.exact_div(&gcd));
+        }
+        epsilon
     }
 
     /// Decides feasibility and returns a **natural-number** witness if one
@@ -420,9 +507,11 @@ mod tests {
     fn e7_witnesses_are_pinned_for_both_engines() {
         // Systems of the E7 ablation's shape (8 rows, coefficients in
         // -4..=6), drawn with the bench seed, plus the paper's running
-        // example. Both engines' exact witnesses are pinned literally —
-        // recorded before the row storage was simplified — so a changed
-        // pivot or elimination order cannot go unnoticed.
+        // example. Both engines' exact witnesses are pinned literally, so a
+        // changed pivot or elimination order cannot go unnoticed: the
+        // Fourier–Motzkin ones were recorded before the row storage was
+        // simplified, the simplex ones from the Gordan dual's prices (each
+        // is checked against its system as well).
         let pinned = |rows: &[&[i64]], fm: Option<&[&str]>, simplex: Option<&[&str]>| {
             let mut sys = StrictHomogeneousSystem::new(rows[0].len());
             for row in rows {
@@ -434,7 +523,11 @@ mod tests {
             let engine = FeasibilityEngine::FourierMotzkin;
             assert_eq!(sys.rational_solution(engine).unwrap(), parse(fm), "{rows:?}");
             let engine = FeasibilityEngine::Simplex;
-            assert_eq!(sys.rational_solution(engine).unwrap(), parse(simplex), "{rows:?}");
+            let witness = sys.rational_solution(engine).unwrap();
+            assert_eq!(witness, parse(simplex), "{rows:?}");
+            if let Some(w) = witness {
+                assert!(sys.to_linear_system().is_satisfied_by(&w), "{w:?} misses {rows:?}");
+            }
         };
         pinned(
             &[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]],
@@ -444,7 +537,7 @@ mod tests {
         pinned(
             &[&[3, 5], &[1, 6], &[-1, 6], &[-2, 6], &[2, 1], &[4, 0], &[5, 0], &[1, 5]],
             Some(&["1", "4/3"]),
-            Some(&["1/4", "1/2"]),
+            Some(&["5", "4"]),
         );
         pinned(
             &[
@@ -458,7 +551,7 @@ mod tests {
                 &[1, 1, -2],
             ],
             Some(&["0", "1", "5/24"]),
-            Some(&["2/5", "7/5", "0"]),
+            Some(&["2", "7", "0"]),
         );
         pinned(
             &[
@@ -472,7 +565,7 @@ mod tests {
                 &[1, -4, 3],
             ],
             Some(&["1", "9/8", "107/64"]),
-            Some(&["3/2", "2", "5/2"]),
+            Some(&["7", "8", "11"]),
         );
         pinned(
             &[
@@ -486,7 +579,7 @@ mod tests {
                 &[-3, 0, -2, 3],
             ],
             Some(&["0", "0", "1", "5/6"]),
-            Some(&["0", "0", "2", "5/3"]),
+            Some(&["0", "0", "6", "5"]),
         );
         pinned(
             &[
@@ -500,7 +593,7 @@ mod tests {
                 &[4, -1, 4, 2],
             ],
             Some(&["1", "0", "31/28", "223/112"]),
-            Some(&["7/5", "0", "8/5", "29/10"]),
+            Some(&["16", "0", "12", "19"]),
         );
         pinned(
             &[

@@ -20,8 +20,11 @@
 //!   differential oracle that tests and benches check the kernel against,
 //!   sharing no row code with it;
 //! * [`StrictHomogeneousSystem`] — the exact shape produced by the paper's
-//!   reduction, with natural-number witness extraction
-//!   ([`StrictHomogeneousSystem::natural_solution`]).
+//!   reduction, decided through its Gordan dual on the same kernel, with
+//!   natural-number witness extraction
+//!   ([`StrictHomogeneousSystem::natural_solution`]) and the dual's
+//!   certificate of infeasibility
+//!   ([`StrictHomogeneousSystem::dual_weights`]).
 //!
 //! ```
 //! use dioph_linalg::{FeasibilityEngine, StrictHomogeneousSystem};

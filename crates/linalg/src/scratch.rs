@@ -4,9 +4,11 @@
 //! A phase-1 run of [`crate::bareiss`] needs a whole working set per call:
 //! the tableau rows with their right-hand sides and basis, the map from
 //! artificial variables to their rows, the maintained objective row, and a
-//! merge output for every elimination. On the per-probe hot loop of the
-//! containment decider those calls happen thousands of times per pair with
-//! near-identical shapes, so all of that capacity is recyclable.
+//! merge output for every elimination. The final tableau and objective row
+//! stay here after the run, and callers read their witness from them. On
+//! the per-probe hot loop of the containment decider those calls happen
+//! thousands of times per pair with near-identical shapes, so all of that
+//! capacity is recyclable.
 //!
 //! [`LpScratch`] owns those buffers. [`RowPool`] recycles the entry vectors
 //! that back [`IntRow`]s — tableau rows are torn back down into their entry
@@ -91,8 +93,10 @@ pub struct LpScratch {
     /// order: artificial `j` is read through the surplus column of row
     /// `art_row[j]`.
     pub(crate) art_row: Vec<usize>,
-    /// The scaled phase-1 reduced-cost row over the stored columns,
-    /// eliminated along with the tableau on every pivot.
+    /// The scaled phase-1 reduced-cost row `S` over the stored columns,
+    /// eliminated along with the tableau on every pivot. After a run it
+    /// holds the final prices: its surplus entries are the phase-1 duals
+    /// times one positive scale.
     pub(crate) objective: IntRow,
     /// Output buffer of the elimination merge, empty between merges (the
     /// result moves back into the eliminated row's own storage).

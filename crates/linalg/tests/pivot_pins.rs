@@ -2,10 +2,13 @@
 //!
 //! Every Bland entering choice, ratio test and tie-break of the phase-1
 //! simplex shows up in two observables: the exact witness and the number of
-//! iterations (`lp.bareiss.pivots`). The systems below were recorded from
-//! the full-width tableau (explicit artificial columns, per-row
-//! denominators, reduced costs rebuilt every pivot); any storage or pricing
-//! change to the kernel must reproduce them literally.
+//! iterations (`lp.bareiss.pivots`). The kernel's own pins (the primal
+//! `A·x ≥ b` runs below) were recorded from the full-width tableau
+//! (explicit artificial columns, per-row denominators, reduced costs
+//! rebuilt every pivot); any storage or pricing change to the kernel must
+//! reproduce them literally. The Gordan-dual pins of
+//! `StrictHomogeneousSystem::rational_solution` were recorded when the
+//! strict systems moved onto the dual.
 //!
 //! The registry counters are process-global, so this binary holds a single
 //! test: no other kernel run can interleave with a counter delta.
@@ -35,8 +38,10 @@ fn rationals(components: &[&str]) -> Vec<Rational> {
     components.iter().map(|c| c.parse().unwrap()).collect()
 }
 
-/// A pinned star: containee multiplicities, rays, witness and pivots.
-type Pin = ([i64; 5], [i64; 3], Option<Vec<Rational>>, u64);
+/// A pinned star: containee multiplicities and rays, then the witness and
+/// pivots of the primal kernel on `A·x ≥ 1` and of the Gordan dual that
+/// `rational_solution` runs.
+type Pin = ([i64; 5], [i64; 3], Option<Vec<Rational>>, u64, Option<Vec<Rational>>, u64);
 
 /// Runs `solve` and returns its result with the pivots it took.
 fn counted<T>(solve: impl FnOnce() -> T) -> (T, u64) {
@@ -48,19 +53,27 @@ fn counted<T>(solve: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn witnesses_and_pivot_counts_are_pinned() {
     let fifth = rationals(&["1/5"; 5]);
-    // The two refuted systems make Bland re-enter an artificial column (41
-    // and 6 times on the full-width tableau) after its row left the basis.
+    let first_three = rationals(&["1", "1", "1", "0", "0"]);
+    // On `A·x ≥ 1` the two refuted systems make Bland re-enter an
+    // artificial column (41 and 6 times on the full-width tableau) after
+    // its row left the basis. The dual has 6 rows and one artificial.
     let stars: [Pin; 4] = [
-        ([2, 2, 1, 1, 1], [2, 4, 1], None, 272),
-        ([4, 3, 4, 2, 1], [4, 3, 2], Some(fifth.clone()), 303),
-        ([2, 1, 1, 1, 1], [1, 2, 3], None, 221),
-        ([2, 1, 4, 2, 2], [1, 2, 3], Some(fifth), 285),
+        ([2, 2, 1, 1, 1], [2, 4, 1], None, 272, None, 20),
+        ([4, 3, 4, 2, 1], [4, 3, 2], Some(fifth.clone()), 303, Some(first_three.clone()), 16),
+        ([2, 1, 1, 1, 1], [1, 2, 3], None, 221, None, 9),
+        ([2, 1, 4, 2, 2], [1, 2, 3], Some(fifth), 285, Some(first_three), 7),
     ];
-    for (m, rays, witness, pivots) in stars {
+    for (m, rays, primal, primal_pivots, dual, dual_pivots) in stars {
         let sys = star(m, rays);
-        let (solution, taken) = counted(|| sys.rational_solution(FeasibilityEngine::Simplex));
-        assert_eq!(solution.unwrap(), witness, "star {m:?} against {rays:?}");
-        assert_eq!(taken, pivots, "pivots of star {m:?} against {rays:?}");
+        let b = vec![Integer::one(); sys.len()];
+        let (outcome, taken) =
+            counted(|| bareiss::feasible_point_int(5, sys.rows().to_vec(), b).unwrap());
+        assert_eq!(outcome.witness().map(<[Rational]>::to_vec), primal, "star {m:?} vs {rays:?}");
+        assert_eq!(taken, primal_pivots, "primal pivots of star {m:?} against {rays:?}");
+        let (solution, taken) =
+            counted(|| sys.rational_solution(FeasibilityEngine::Simplex).unwrap());
+        assert_eq!(solution, dual, "dual witness of star {m:?} against {rays:?}");
+        assert_eq!(taken, dual_pivots, "dual pivots of star {m:?} against {rays:?}");
     }
 
     // A general system whose rows with `b_i ≤ 0` are flipped and start on

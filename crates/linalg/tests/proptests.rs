@@ -107,10 +107,12 @@ proptest! {
         }
     }
 
-    /// The rational witness is exact: it satisfies the strict system itself
-    /// (not just a rounded copy), its verdict is the Fourier–Motzkin
-    /// oracle's, and the scratch-threaded front door returns exactly the raw
-    /// kernel's witness on `A·x ≥ 1`.
+    /// Three-way differential: the verdict of the Gordan dual that
+    /// `rational_solution` runs equals both the primal kernel's on
+    /// `A·x ≥ 1` and the Fourier–Motzkin oracle's, and its witness is
+    /// exact — it satisfies the strict system itself, not a rounded copy.
+    /// An infeasible system carries a Gordan certificate `λ` with
+    /// `Σ_h λ_h·A[h] ≤ 0`, and a feasible one carries none.
     #[test]
     fn simplex_rational_witness_is_exact(sys in shs_strategy()) {
         let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
@@ -120,10 +122,29 @@ proptest! {
             "verdict diverged from the oracle on {:?}", sys
         );
         let b = vec![Integer::one(); sys.len()];
-        let kernel = bareiss::feasible_point_int(sys.dimension(), sys.rows().to_vec(), b).unwrap();
-        prop_assert_eq!(kernel.witness().map(<[Rational]>::to_vec), witness.clone());
-        if let Some(w) = witness {
-            prop_assert!(sys.to_linear_system().is_satisfied_by(&w), "{:?} misses {:?}", w, sys);
+        let primal = bareiss::feasible_point_int(sys.dimension(), sys.rows().to_vec(), b).unwrap();
+        prop_assert_eq!(
+            primal.is_feasible(),
+            witness.is_some(),
+            "verdict diverged from the primal kernel on {:?}", sys
+        );
+        if let Some(w) = &witness {
+            prop_assert!(sys.to_linear_system().is_satisfied_by(w), "{:?} misses {:?}", w, sys);
+        }
+        let lambda = sys.dual_weights().unwrap();
+        prop_assert_eq!(lambda.is_some(), witness.is_none(), "certificate on {:?}", sys);
+        if let Some(lambda) = lambda {
+            prop_assert!(lambda.iter().any(|l| !l.is_zero()), "zero weights on {:?}", sys);
+            prop_assert!(lambda.iter().filter(|l| !l.is_zero()).count() <= sys.dimension() + 1);
+            for j in 0..sys.dimension() {
+                let mut sum = Integer::zero();
+                for (row, weight) in sys.rows().iter().zip(&lambda) {
+                    if let Some(coeff) = row.get(j) {
+                        sum += &(coeff * &Integer::from(weight));
+                    }
+                }
+                prop_assert!(!sum.is_positive(), "λ = {:?} fails column {} of {:?}", lambda, j, sys);
+            }
         }
     }
 

@@ -11,8 +11,8 @@
 //!
 //! The E4 probes never reach the LP kernel (each system short-circuits on
 //! a zero row), so a second case drives the kernel itself: a warmed
-//! [`LpScratch`] deciding star systems of hundreds of pivots may allocate
-//! the returned witness and nothing else. The cases hold one lock, so the
+//! [`LpScratch`] deciding star systems through their Gordan dual may
+//! allocate the returned witness and nothing else. The cases hold one lock, so the
 //! registry delta of one never sees the other's allocations.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -129,10 +129,10 @@ fn star(m: [i64; 5], rays: [i64; 3]) -> StrictHomogeneousSystem {
 #[test]
 fn warm_scratch_decides_star_systems_allocating_only_the_witness() {
     let _serial = serial();
-    // One refuted system (Bland re-enters artificial columns on it) and one
-    // feasible one, each several hundred pivots deep.
-    for (m, rays, feasible) in
-        [([2, 2, 1, 1, 1], [2, 4, 1], false), ([4, 3, 4, 2, 1], [4, 3, 2], true)]
+    // One refuted system and one feasible one, with the Gordan-dual pivot
+    // counts pinned in `crates/linalg/tests/pivot_pins.rs`.
+    for (m, rays, feasible, dual_pivots) in
+        [([2, 2, 1, 1, 1], [2, 4, 1], false, 20), ([4, 3, 4, 2, 1], [4, 3, 2], true, 16)]
     {
         let sys = star(m, rays);
         let mut scratch = LpScratch::new();
@@ -148,7 +148,7 @@ fn warm_scratch_decides_star_systems_allocating_only_the_witness() {
 
         assert_eq!(warm, cold, "reuse is capacity-only");
         assert_eq!(warm.is_some(), feasible, "star {m:?} against {rays:?}");
-        assert!(pivots >= 200, "the system must load the kernel: {pivots} pivots");
+        assert_eq!(pivots, dual_pivots, "star {m:?} against {rays:?}");
         assert_eq!(
             allocs,
             u64::from(feasible),
