@@ -15,10 +15,10 @@ use crate::registry::{registered, LintConfig, Severity};
 pub const PROBE_SPACE_NOTE_THRESHOLD: u128 = 10_000;
 
 /// Advisory threshold for `D031 lp-dimension-warning`, in bounded tableau
-/// cells (`unknowns × rows`). Calibrated on the `lp_ablation` measurements
-/// in the ROADMAP: systems around 20×60 cells took ≈1 s with rational
-/// pivoting and 24×72 took seconds, so anything bounded past 1200 cells may
-/// be a seconds-scale solve.
+/// cells (`unknowns × rows`). The row bound counts containment mappings, so
+/// it grows exponentially in the containing query; past 1200 cells the
+/// system is far larger than the paper's examples. The value dates from a
+/// slower rational-pivoting kernel and is kept so diagnostics stay stable.
 pub const LP_DIMENSION_NOTE_THRESHOLD: u128 = 1_200;
 
 /// One emitted diagnostic: a stable code, the effective severity after

@@ -2,7 +2,7 @@
 //!
 //! These queries and instances appear verbatim in Sections 2–4 of
 //! *"Attacking Diophantus"* and are used throughout the workspace as
-//! correctness fixtures (experiments E1 and E2 of `EXPERIMENTS.md`).
+//! correctness fixtures (experiments E1 and E2 in the README's experiments table).
 
 use std::collections::{BTreeMap, BTreeSet};
 

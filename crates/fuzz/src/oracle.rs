@@ -753,6 +753,33 @@ mod tests {
     }
 
     #[test]
+    fn gordan_certificates_hold_on_every_lp_decided_unary_star() {
+        // Boolean unary stars `q() <- A^{m_i}('c_i')`, i < 5, m_i ≥ 1 and
+        // Σm ≤ 9, against three rays of total degree 9: every ray lands on
+        // at most three constants, so no mapping dominates a five-constant
+        // containee and each pair reaches the LP. All are contained.
+        let containing = q("p() <- A^2(z0), A^3(z1), A^4(z2)");
+        let decider = BagContainmentDecider::default();
+        let mut population = 0;
+        // m_i ≤ 5, since the other four multiplicities are at least 1.
+        for code in 0..5u32.pow(5) {
+            let m: Vec<u32> = (0..5).map(|i| code / 5u32.pow(i) % 5 + 1).collect();
+            if m.iter().sum::<u32>() > 9 {
+                continue;
+            }
+            let body: Vec<String> =
+                m.iter().enumerate().map(|(i, m_i)| format!("A^{m_i}('c{i}')")).collect();
+            let containee = q(&format!("q() <- {}", body.join(", ")));
+            let pair = CompiledPair::new(containee.clone(), containing.clone()).unwrap();
+            assert_eq!(pair.most_general().rung(), Rung::Lp, "{containee}");
+            assert!(decider.decide_pair(&pair).unwrap().holds(), "{containee}");
+            assert!(lp_certificate_rejected(pair.most_general()).is_none(), "{containee}");
+            population += 1;
+        }
+        assert_eq!(population, 126);
+    }
+
+    #[test]
     fn seed_derivation_separates_streams() {
         let a = derive_seed(7, 0);
         let b = derive_seed(7, 1);

@@ -17,7 +17,7 @@
 //! natural witnesses. The rows are stored as sparse **integer** [`IntRow`]s
 //! built straight from the non-zero exponent differences. Fourier–Motzkin
 //! elimination stays reachable through [`FeasibilityEngine::FourierMotzkin`]
-//! as the differential oracle that tests and benches compare the kernel
+//! as the differential oracle that the tests compare the kernel
 //! against.
 //!
 //! # The Gordan dual
@@ -67,7 +67,7 @@ pub enum FeasibilityEngine {
     #[default]
     Simplex,
     /// Fourier–Motzkin elimination (simple, doubly exponential worst case):
-    /// the differential oracle for tests and benches.
+    /// the differential oracle for tests.
     FourierMotzkin,
 }
 

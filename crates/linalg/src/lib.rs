@@ -17,7 +17,7 @@
 //!   integers, with a single exact gcd division per row per pivot;
 //! * [`fourier_motzkin`] — Fourier–Motzkin elimination with witness
 //!   extraction over dense rational rows: the "obviously correct"
-//!   differential oracle that tests and benches check the kernel against,
+//!   differential oracle that the tests check the kernel against,
 //!   sharing no row code with it;
 //! * [`StrictHomogeneousSystem`] — the exact shape produced by the paper's
 //!   reduction, decided through its Gordan dual on the same kernel, with

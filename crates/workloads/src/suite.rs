@@ -131,10 +131,10 @@ fn random_shape(atoms: usize) -> QueryShape {
     QueryShape { atom_occurrences: atoms, ..QueryShape::default() }
 }
 
-/// The E6/E9 benchmark shape with the given number of atom occurrences —
-/// the single definition shared by [`WorkloadKind::Contained`] and the
-/// `dioph-bench` `contained_instance` builder, so the CLI workload and the
-/// benchmark workload cannot drift apart.
+/// The E6/E9 workload shape with the given number of atom occurrences —
+/// the single definition behind [`WorkloadKind::Contained`], so
+/// `diophantus gen contained` and the tests that decide the family cannot
+/// drift apart.
 pub fn contained_shape(atoms: usize) -> QueryShape {
     QueryShape {
         relations: vec![("R".to_string(), 2), ("S".to_string(), 2)],
@@ -202,7 +202,11 @@ pub fn generate_pairs(kind: WorkloadKind, count: usize, seed: u64) -> Vec<Worklo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dioph_containment::is_bag_contained;
+    use dioph_containment::{
+        is_bag_contained, set_containment, Algorithm, BagContainmentDecider, CompiledProbe,
+        ContainmentError,
+    };
+    use dioph_cq::most_general_probe_tuple;
 
     const ALL_KINDS: [WorkloadKind; 9] = [
         WorkloadKind::Specialization { atoms: 4 },
@@ -261,6 +265,45 @@ mod tests {
                     "{} must be contained by construction",
                     pair.label
                 );
+                // Bag containment implies set containment (Section 2).
+                assert!(
+                    set_containment(&pair.containee, &pair.containing).holds(),
+                    "{}",
+                    pair.label
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn exponential_mapping_instances_have_two_to_the_k_mappings() {
+        for k in [1, 3, 5] {
+            let (containee, containing) = exponential_mapping_instance(k);
+            let probe = most_general_probe_tuple(&containee);
+            let compiled = CompiledProbe::compile(&containee, &containing, &probe).unwrap();
+            assert_eq!(compiled.mapping_count(), 1 << k);
+        }
+    }
+
+    #[test]
+    fn guess_check_enumeration_exceeds_its_budget_where_the_lp_decides() {
+        // The LP route (Theorem 4.2) against the Lemma 5.1 enumeration on the
+        // contained family: both decide every 1-atom pair, but from 2 atoms
+        // on the enumeration runs out of vectors on most pairs.
+        let lp = BagContainmentDecider::new(Algorithm::MostGeneralProbe);
+        let enumeration = BagContainmentDecider::new(Algorithm::GuessCheck { budget: 200_000 });
+        for (atoms, exceeded) in [(1, [false; 5]), (2, [true, false, true, true, false])] {
+            let pairs = generate_pairs(WorkloadKind::Contained { atoms }, 5, 7);
+            for (pair, exceeded) in pairs.iter().zip(exceeded) {
+                let (containee, containing) = (&pair.containee, &pair.containing);
+                assert!(lp.decide(containee, containing).unwrap().holds(), "{}", pair.label);
+                match enumeration.decide(containee, containing) {
+                    Err(ContainmentError::BudgetExceeded { budget: 200_000 }) => {
+                        assert!(exceeded, "{} ran out of budget", pair.label);
+                    }
+                    Ok(verdict) => assert!(!exceeded && verdict.holds(), "{}", pair.label),
+                    Err(e) => panic!("{}: {e}", pair.label),
+                }
             }
         }
     }

@@ -2014,7 +2014,7 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
     if opts.jobs_set {
         return Err(CliError::Usage(
             "--jobs applies to decide, equiv and batch (bench times the sequential decider; \
-             use the engine_scaling bench for thread sweeps)"
+             sweep threads with batch --jobs N or decide --jobs N)"
                 .to_string(),
         ));
     }

@@ -1,6 +1,6 @@
 //! End-to-end integration tests reproducing every worked example of the
-//! paper (experiments E1 and E2 of EXPERIMENTS.md), exercised through the
-//! public facade crate only.
+//! paper (experiments E1 and E2 in the README's experiments table),
+//! exercised through the public facade crate only.
 
 use diophantus::containment::CompiledProbe;
 use diophantus::cq::paper_examples;
