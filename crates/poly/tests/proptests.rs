@@ -89,6 +89,24 @@ proptest! {
         }
     }
 
+    /// Both feasibility engines agree on 4-unknown MPIs with exponents up
+    /// to 5, one unknown and one exponent past the case above.
+    #[test]
+    fn mpi_engines_agree_on_four_unknowns(
+        terms in proptest::collection::vec(proptest::collection::vec(0u64..=5, 4), 0..=6),
+        mono_exp in proptest::collection::vec(1u64..=5, 4),
+    ) {
+        let mut poly = Polynomial::zero(4);
+        for exponents in terms {
+            poly.add_monomial(Monomial::new(exponents));
+        }
+        let mpi = Mpi::new(poly, Monomial::new(mono_exp));
+        prop_assert_eq!(mpi.dimension(), 4);
+        let simplex = mpi.has_diophantine_solution(FeasibilityEngine::Simplex).unwrap();
+        let fm = mpi.has_diophantine_solution(FeasibilityEngine::FourierMotzkin).unwrap();
+        prop_assert_eq!(simplex, fm, "engines disagree on {}", mpi);
+    }
+
     /// MPI decision completeness (bounded): if exhaustive search over a small
     /// grid finds a solution, the decision procedure must also report one.
     #[test]

@@ -276,6 +276,16 @@ mod tests {
     }
 
     #[test]
+    fn path_instances_are_valid_and_contained() {
+        for length in [1, 3, 6] {
+            let (containee, containing) = path_self_containment(length);
+            assert!(containee.is_projection_free());
+            assert_eq!(containee.total_atom_count(), length as u64);
+            assert!(is_bag_contained(&containee, &containing).unwrap().holds());
+        }
+    }
+
+    #[test]
     fn exponential_mapping_instances_have_two_to_the_k_mappings() {
         for k in [1, 3, 5] {
             let (containee, containing) = exponential_mapping_instance(k);
