@@ -630,6 +630,21 @@ mod tests {
             big.push_row_i64(&row);
         }
         assert!(!big.is_feasible(FeasibilityEngine::Simplex).unwrap());
+        // A fixed pseudo-random 24 × 72 system, coefficients in −4..=6: the
+        // kernel finishes and its witness satisfies every row.
+        let mut state = 7u64;
+        let mut random = StrictHomogeneousSystem::new(24);
+        for _ in 0..72 {
+            let row: Vec<i64> = (0..24)
+                .map(|_| {
+                    state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+                    (state >> 33) as i64 % 11 - 4
+                })
+                .collect();
+            random.push_row_i64(&row);
+        }
+        let witness = random.natural_solution(FeasibilityEngine::Simplex).unwrap().unwrap();
+        assert!(random.is_satisfied_by_naturals(&witness));
     }
 
     #[test]

@@ -10,7 +10,7 @@ fn nat(v: u64) -> Natural {
 }
 
 fn monomial_strategy(dim: usize) -> impl Strategy<Value = Monomial> {
-    proptest::collection::vec(0u64..5, dim).prop_map(Monomial::new)
+    proptest::collection::vec(0u64..=5, dim).prop_map(Monomial::new)
 }
 
 fn polynomial_strategy(dim: usize) -> impl Strategy<Value = Polynomial> {
@@ -70,11 +70,13 @@ proptest! {
     }
 
     /// MPI decision soundness: whatever witness the solver returns solves the
-    /// MPI, and both feasibility engines agree on solvability.
+    /// MPI, and both feasibility engines agree on solvability, on 3 and 4
+    /// unknowns.
     #[test]
     fn mpi_witnesses_are_sound_and_engines_agree(
-        poly in polynomial_strategy(3),
-        mono_exp in proptest::collection::vec(1u64..5, 3),
+        (poly, mono_exp) in (3usize..=4).prop_flat_map(|dim| {
+            (polynomial_strategy(dim), proptest::collection::vec(1u64..=5, dim))
+        }),
     ) {
         let mpi = Mpi::new(poly, Monomial::new(mono_exp));
         let simplex = mpi.has_diophantine_solution(FeasibilityEngine::Simplex).unwrap();
@@ -87,24 +89,6 @@ proptest! {
             }
             None => prop_assert!(!simplex),
         }
-    }
-
-    /// Both feasibility engines agree on 4-unknown MPIs with exponents up
-    /// to 5, one unknown and one exponent past the case above.
-    #[test]
-    fn mpi_engines_agree_on_four_unknowns(
-        terms in proptest::collection::vec(proptest::collection::vec(0u64..=5, 4), 0..=6),
-        mono_exp in proptest::collection::vec(1u64..=5, 4),
-    ) {
-        let mut poly = Polynomial::zero(4);
-        for exponents in terms {
-            poly.add_monomial(Monomial::new(exponents));
-        }
-        let mpi = Mpi::new(poly, Monomial::new(mono_exp));
-        prop_assert_eq!(mpi.dimension(), 4);
-        let simplex = mpi.has_diophantine_solution(FeasibilityEngine::Simplex).unwrap();
-        let fm = mpi.has_diophantine_solution(FeasibilityEngine::FourierMotzkin).unwrap();
-        prop_assert_eq!(simplex, fm, "engines disagree on {}", mpi);
     }
 
     /// MPI decision completeness (bounded): if exhaustive search over a small

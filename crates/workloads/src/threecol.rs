@@ -131,9 +131,11 @@ mod tests {
 
     #[test]
     fn uncolorable_graphs_yield_non_containment() {
-        let k4 = Graph::complete(4);
-        assert!(!k4.is_three_colorable());
-        assert!(!three_colorable_via_containment(&k4, &decider()));
+        for n in 4..=6 {
+            let clique = Graph::complete(n);
+            assert!(!clique.is_three_colorable());
+            assert!(!three_colorable_via_containment(&clique, &decider()), "K{n}");
+        }
 
         // K4 plus a pendant vertex is still uncolorable.
         let mut g = Graph::new(5);
@@ -151,7 +153,7 @@ mod tests {
         use rand::rngs::StdRng;
         use rand::SeedableRng;
         let mut rng = StdRng::seed_from_u64(2019);
-        for n in 3..=6 {
+        for n in 3..=8 {
             for _ in 0..3 {
                 let g = Graph::random(n, 0.5, &mut rng);
                 assert_eq!(

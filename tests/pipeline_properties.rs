@@ -185,3 +185,30 @@ proptest! {
         prop_assert!(unanimous_verdict(&bottom, &top));
     }
 }
+
+/// Simplex and Fourier–Motzkin agree on seeded strict homogeneous systems of
+/// 2–6 unknowns and 8 rows with coefficients in −4..=6: past the linalg
+/// proptests' sizes, where the simplex runs its Gordan dual on a tableau of
+/// `d + 1` rows.
+#[test]
+fn engines_agree_on_eight_row_strict_systems() {
+    use diophantus::arith::Integer;
+    use diophantus::linalg::StrictHomogeneousSystem;
+    use rand::Rng;
+    for dimension in 2..=6 {
+        let mut rng = StdRng::seed_from_u64(0x2019_0630);
+        for _ in 0..6 {
+            let mut sys = StrictHomogeneousSystem::new(dimension);
+            for _ in 0..8 {
+                sys.push_row(
+                    (0..dimension).map(|_| Integer::from(rng.random_range(-4i64..=6))).collect(),
+                );
+            }
+            assert_eq!(
+                sys.is_feasible(FeasibilityEngine::Simplex).unwrap(),
+                sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap(),
+                "engines disagree on {sys:?}"
+            );
+        }
+    }
+}
