@@ -390,11 +390,7 @@ pub fn containee_fragment_diagnostics(
 
 /// Analyzes already-parsed queries (with spans) against their `source`
 /// text. Queries are paired consecutively, as everywhere in the CLI.
-pub fn analyze_pairs(
-    queries: &[SpannedQuery],
-    source: &str,
-    config: &LintConfig,
-) -> ProgramAnalysis {
+fn analyze_pairs(queries: &[SpannedQuery], source: &str, config: &LintConfig) -> ProgramAnalysis {
     let mut program = Emitter::new(source, config);
     arity_lints(&mut program, queries);
     if !queries.len().is_multiple_of(2) {

@@ -50,7 +50,7 @@ impl FragmentClass {
 
     /// Whether this repository's bag-containment engine accepts the pair
     /// (`diophantus decide` succeeds without a fragment error).
-    pub fn engine_decidable(self) -> bool {
+    pub(crate) fn engine_decidable(self) -> bool {
         matches!(self, FragmentClass::PaperDecidable)
     }
 }

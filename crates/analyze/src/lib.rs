@@ -40,9 +40,8 @@ mod cost;
 mod registry;
 
 pub use analysis::{
-    analyze_pairs, analyze_source, containee_fragment_diagnostics, first_fragment_error,
-    Diagnostic, PairAnalysis, ProgramAnalysis, LP_DIMENSION_NOTE_THRESHOLD,
-    PROBE_SPACE_NOTE_THRESHOLD,
+    analyze_source, containee_fragment_diagnostics, first_fragment_error, Diagnostic, PairAnalysis,
+    ProgramAnalysis, LP_DIMENSION_NOTE_THRESHOLD, PROBE_SPACE_NOTE_THRESHOLD,
 };
 pub use classify::{classify_pair, FragmentClass};
 pub use cost::{estimate_cost, CostEstimate};

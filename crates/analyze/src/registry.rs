@@ -190,11 +190,6 @@ impl LintConfig {
         self.deny_warnings = true;
     }
 
-    /// Whether `--deny warnings` is in effect.
-    pub fn denies_warnings(&self) -> bool {
-        self.deny_warnings
-    }
-
     /// The severity `lint` fires at in the given situation: the last
     /// explicit override if any, else `situational` (which the analysis
     /// passes set to the lint's default or a position-weakened severity),
@@ -267,7 +262,6 @@ mod tests {
 
         let mut config = LintConfig::new();
         config.deny_warnings();
-        assert!(config.denies_warnings());
         assert_eq!(config.effective(d013, d013.default_severity), Severity::Error);
         // Notes are not promoted.
         let d030 = lint("D030").unwrap();

@@ -42,7 +42,7 @@ impl Mul for Sign {
 
 impl Sign {
     /// Flips the sign (zero stays zero).
-    pub fn negate(self) -> Sign {
+    fn negate(self) -> Sign {
         match self {
             Sign::Negative => Sign::Positive,
             Sign::Zero => Sign::Zero,
@@ -119,7 +119,7 @@ impl Integer {
 
     /// Builds an integer from a sign and magnitude (normalising zero and
     /// demoting to the inline form when the value fits `i64`).
-    pub fn from_sign_magnitude(sign: Sign, magnitude: Natural) -> Self {
+    pub(crate) fn from_sign_magnitude(sign: Sign, magnitude: Natural) -> Self {
         if magnitude.is_zero() {
             return Integer::zero();
         }
@@ -234,27 +234,6 @@ impl Integer {
         self.small()
     }
 
-    /// Converts to `i128` if the value fits.
-    pub fn to_i128(&self) -> Option<i128> {
-        match &self.0 {
-            IRepr::Small(v) => Some(*v as i128),
-            IRepr::Big { sign, magnitude } => {
-                let mag = magnitude.to_u128()?;
-                match sign {
-                    Sign::Zero => Some(0),
-                    Sign::Positive => i128::try_from(mag).ok(),
-                    Sign::Negative => {
-                        if mag <= i128::MAX as u128 + 1 {
-                            Some((mag as i128).wrapping_neg())
-                        } else {
-                            None
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     /// Lossy conversion to `f64` for reporting purposes only.
     pub fn to_f64_lossy(&self) -> f64 {
         match &self.0 {
@@ -266,15 +245,6 @@ impl Integer {
                     _ => m,
                 }
             }
-        }
-    }
-
-    /// Converts a non-negative integer into a [`Natural`]; `None` for negatives.
-    pub fn to_natural(&self) -> Option<Natural> {
-        if self.is_negative() {
-            None
-        } else {
-            Some(self.magnitude())
         }
     }
 
@@ -361,7 +331,7 @@ impl Integer {
     /// the checked form turns a violated guarantee into a recoverable `None`
     /// instead of silent corruption. Two inline values divide as `i128`
     /// machine arithmetic; the split is observable through [`crate::stats`].
-    pub fn checked_exact_div(&self, divisor: &Integer) -> Option<Integer> {
+    pub(crate) fn checked_exact_div(&self, divisor: &Integer) -> Option<Integer> {
         if divisor.is_zero() {
             return None;
         }
@@ -833,9 +803,6 @@ mod tests {
         assert_eq!(int(-42).to_i64(), Some(-42));
         assert_eq!(int(i64::MIN as i128).to_i64(), Some(i64::MIN));
         assert_eq!(int(i64::MAX as i128 + 1).to_i64(), None);
-        assert_eq!(int(i64::MAX as i128 + 1).to_i128(), Some(i64::MAX as i128 + 1));
-        assert_eq!(int(-5).to_natural(), None);
-        assert_eq!(int(5).to_natural(), Some(Natural::from(5u64)));
         assert_eq!(int(-3).abs(), int(3));
         assert_eq!(int(i64::MIN as i128).abs(), int(-(i64::MIN as i128)));
         assert_eq!(int(7).gcd(&int(-21)), Natural::from(7u64));
@@ -877,5 +844,39 @@ mod tests {
     #[should_panic(expected = "does not divide")]
     fn exact_div_panics_on_inexact() {
         let _ = int(10).exact_div(&int(3));
+    }
+
+    #[test]
+    fn negation_renormalises_across_the_boundary() {
+        for (s, flipped) in [
+            (Sign::Negative, Sign::Positive),
+            (Sign::Zero, Sign::Zero),
+            (Sign::Positive, Sign::Negative),
+        ] {
+            assert_eq!(s.negate(), flipped);
+            assert_eq!(s.negate().negate(), s);
+            assert_eq!(s * Sign::Negative, flipped);
+        }
+        // -(i64::MIN) = 2^63 leaves the inline form; negating it back must
+        // land on the inline i64::MIN again (both by value and by reference).
+        let min = int(i64::MIN as i128);
+        let past = -&min;
+        assert_eq!(past, int(1 << 63));
+        assert_eq!(past.to_i64(), None);
+        assert_eq!((-&past).to_i64(), Some(i64::MIN));
+        assert_eq!((-past).to_i64(), Some(i64::MIN));
+        for v in [0i128, 5, -5, i64::MAX as i128, (1 << 100) + 3, -(1 << 100) - 3] {
+            assert_eq!(-&int(v), int(-v), "{v}");
+            assert_eq!(-(-int(v)), int(v), "{v}");
+        }
+    }
+
+    #[test]
+    fn magnitudes_across_representations() {
+        for v in [0i128, 7, -7, i64::MAX as i128, i64::MIN as i128, 1 << 100, -(1 << 100)] {
+            let expect = Natural::from(v.unsigned_abs());
+            assert_eq!(int(v).magnitude(), expect, "{v}");
+            assert_eq!(int(v).into_magnitude(), expect, "{v}");
+        }
     }
 }

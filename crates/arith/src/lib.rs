@@ -27,10 +27,9 @@
 //! limb form only when a result genuinely leaves the machine range. The forms
 //! are canonical (a value is always stored in the smallest representation
 //! that fits), so equality, ordering and hashing never observe the split.
-//! [`Rational`] adds a machine-word fast path on top: cross-multiplications
-//! run in checked `i128`/`u128` arithmetic with a binary-GCD reduction, and
-//! fall back to the exact big path only on overflow. The [`stats`] module
-//! counts how often each route is taken.
+//! [`Rational`] is built on the two and inherits their machine-word paths.
+//! The [`stats`] module counts how often the integer kernel operations of
+//! the LP stay on machine words.
 //!
 //! ```
 //! use dioph_arith::{Natural, Integer, Rational};

@@ -124,7 +124,7 @@ impl Natural {
     }
 
     /// `true` iff the value is even.
-    pub fn is_even(&self) -> bool {
+    fn is_even(&self) -> bool {
         self.limbs().first().is_none_or(|&l| l & 1 == 0)
     }
 
@@ -132,21 +132,6 @@ impl Natural {
     /// canonical-representation invariant).
     pub fn to_u64(&self) -> Option<u64> {
         self.small()
-    }
-
-    /// Converts to `u128` if the value fits.
-    pub fn to_u128(&self) -> Option<u128> {
-        match self.limbs() {
-            [] => Some(0),
-            [lo] => Some(*lo as u128),
-            [lo, hi] => Some((*hi as u128) << 64 | *lo as u128),
-            _ => None,
-        }
-    }
-
-    /// Converts to `usize` if the value fits.
-    pub fn to_usize(&self) -> Option<usize> {
-        self.to_u64().and_then(|v| usize::try_from(v).ok())
     }
 
     /// Approximate conversion to `f64` (may lose precision, saturates to
@@ -237,7 +222,7 @@ impl Natural {
     }
 
     /// Multiplies by a single `u64` in place.
-    pub fn mul_assign_u64(&mut self, m: u64) {
+    fn mul_assign_u64(&mut self, m: u64) {
         match &mut self.0 {
             Repr::Small(v) => {
                 let wide = (*v as u128) * (m as u128);
@@ -286,7 +271,7 @@ impl Natural {
     }
 
     /// Divides by a single non-zero `u64`, returning `(quotient, remainder)`.
-    pub fn div_rem_u64(&self, d: u64) -> (Natural, u64) {
+    fn div_rem_u64(&self, d: u64) -> (Natural, u64) {
         assert!(d != 0, "division by zero");
         if let Some(v) = self.small() {
             return (Natural(Repr::Small(v / d)), v % d);
@@ -389,7 +374,7 @@ impl Natural {
     }
 
     /// Number of trailing zero bits (zero input returns 0).
-    pub fn trailing_zeros(&self) -> usize {
+    fn trailing_zeros(&self) -> usize {
         for (i, &limb) in self.limbs().iter().enumerate() {
             if limb != 0 {
                 return i * 64 + limb.trailing_zeros() as usize;
@@ -1087,9 +1072,92 @@ mod tests {
     fn conversions() {
         assert_eq!(nat(42).to_u64(), Some(42));
         assert_eq!(nat(1 << 100).to_u64(), None);
-        assert_eq!(nat(1 << 100).to_u128(), Some(1 << 100));
         assert_eq!(Natural::from(3u8), nat(3));
         assert_eq!(Natural::from(3usize), nat(3));
         assert!((nat(1 << 80).to_f64_lossy() - (1u128 << 80) as f64).abs() < 1e10);
+    }
+
+    #[test]
+    fn single_limb_multiplication_in_place_matches_multiplication() {
+        let values =
+            [0u128, 1, 7, u64::MAX as u128, u64::MAX as u128 + 1, 1 << 100, u128::MAX >> 3];
+        for a in values {
+            for m in [0u64, 1, 10, u64::MAX] {
+                let mut x = nat(a);
+                x.mul_assign_u64(m);
+                assert_eq!(x, &nat(a) * &Natural::from(m), "{a} * {m}");
+            }
+        }
+        // The carry out of the top limb grows the value by one limb.
+        let mut x = nat(u128::MAX);
+        x.mul_assign_u64(u64::MAX);
+        assert_eq!(x.limbs().len(), 3);
+        assert_eq!(x, &nat(u128::MAX) * &nat(u64::MAX as u128));
+    }
+
+    #[test]
+    fn single_limb_addition_in_place_carries_across_limbs() {
+        let cases = [
+            (0u128, 0u64),
+            (5, 7),
+            (u64::MAX as u128, 1),
+            (u64::MAX as u128, u64::MAX),
+            ((1 << 64) + 3, 4),
+            (u128::MAX - 1, 1),
+        ];
+        for (a, b) in cases {
+            let mut x = nat(a);
+            x.add_assign_u64(b);
+            assert_eq!(x, nat(a + b as u128), "{a} + {b}");
+        }
+        // A carry through every limb grows the value by one limb.
+        let mut x = nat(u128::MAX);
+        x.add_assign_u64(1);
+        assert_eq!(x.limbs(), &[0, 0, 1]);
+        assert_eq!(x, &nat(1) << 128);
+    }
+
+    #[test]
+    fn single_limb_division_satisfies_the_division_identity() {
+        let values = [
+            nat(0),
+            nat(99),
+            nat(u64::MAX as u128),
+            nat(1 << 64),
+            nat(u128::MAX),
+            &nat(u128::MAX) * &nat(u128::MAX),
+        ];
+        for v in &values {
+            for d in [1u64, 3, 10_000_000_000_000_000_000, u64::MAX] {
+                let (q, r) = v.div_rem_u64(d);
+                assert!(r < d, "{v} % {d} = {r}");
+                assert_eq!(&(&q * &Natural::from(d)) + &Natural::from(r), *v, "{v} / {d}");
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "division by zero")]
+    fn single_limb_division_by_zero_panics() {
+        let _ = nat(5).div_rem_u64(0);
+    }
+
+    #[test]
+    fn parity_and_trailing_zeros_across_limbs() {
+        assert!(Natural::zero().is_even());
+        assert_eq!(Natural::zero().trailing_zeros(), 0, "zero input returns 0");
+        let cases = [
+            (1u128, 0usize),
+            (2, 1),
+            (12, 2),
+            (1 << 63, 63),
+            (1 << 64, 64),
+            (3 << 100, 100),
+            (u128::MAX, 0),
+        ];
+        for (v, zeros) in cases {
+            assert_eq!(nat(v).trailing_zeros(), zeros, "{v}");
+            assert_eq!(nat(v).is_even(), zeros > 0, "{v}");
+        }
     }
 }

@@ -1,14 +1,11 @@
 //! Exact rational numbers with arbitrary-precision numerator and denominator.
 //!
-//! [`Rational`] keeps its big-integer shape (`Integer` numerator, `Natural`
-//! denominator, always in lowest terms), but every field operation first
-//! tries a **machine-word fast path**: when both operands have an `i64`
-//! numerator and a `u64` denominator, the cross-multiplication is done in
-//! checked `i128`/`u128` arithmetic and the result reduced with a binary GCD
-//! on machine words — no heap allocation anywhere. Only when an intermediate
-//! product or sum cannot be represented does the operation fall back to the
-//! exact big path. The fallback frequency is observable through
-//! [`crate::stats`].
+//! [`Rational`] is an `Integer` numerator over a `Natural` denominator,
+//! always in lowest terms. Its field operations cross-multiply and reduce
+//! with the parts' own arithmetic, which stays on machine words while the
+//! values fit (see the crate docs on the hybrid representation). The
+//! decider never reaches this type: its users are the Fourier–Motzkin
+//! oracle, the primal kernel's basic point and the one-dimensional GMPI.
 
 use core::cmp::Ordering;
 use core::fmt;
@@ -17,7 +14,6 @@ use core::str::FromStr;
 
 use crate::integer::{Integer, ParseIntegerError, Sign};
 use crate::natural::Natural;
-use crate::stats;
 
 /// An exact rational number, kept in lowest terms with a strictly positive
 /// denominator.
@@ -43,28 +39,6 @@ pub struct Rational {
 impl Default for Rational {
     fn default() -> Self {
         Rational::zero()
-    }
-}
-
-/// Binary GCD on `u128` (`gcd(0, x) = x`).
-fn gcd_u128(mut a: u128, mut b: u128) -> u128 {
-    if a == 0 {
-        return b;
-    }
-    if b == 0 {
-        return a;
-    }
-    let shift = (a | b).trailing_zeros();
-    a >>= a.trailing_zeros();
-    loop {
-        b >>= b.trailing_zeros();
-        if a > b {
-            core::mem::swap(&mut a, &mut b);
-        }
-        b -= a;
-        if b == 0 {
-            return a << shift;
-        }
     }
 }
 
@@ -95,34 +69,13 @@ impl Rational {
     /// # Panics
     /// Panics if `d` is zero.
     pub fn from_i64s(n: i64, d: i64) -> Self {
-        assert!(d != 0, "rational with zero denominator");
-        let n = if d < 0 { -(n as i128) } else { n as i128 };
-        Rational::from_machine(n, d.unsigned_abs() as u128)
+        let n = Integer::from(n);
+        Rational::new(if d < 0 { -n } else { n }, Natural::from(d.unsigned_abs()))
     }
 
     /// Constructs an integer-valued rational.
-    pub fn from_integer(n: Integer) -> Self {
+    fn from_integer(n: Integer) -> Self {
         Rational { numer: n, denom: Natural::one() }
-    }
-
-    /// Builds the reduced rational `n / d` from wide machine words
-    /// (`d` must be non-zero). This is the landing pad of every fast path:
-    /// one binary GCD on machine words, no heap allocation unless the
-    /// reduced parts themselves exceed a word.
-    fn from_machine(n: i128, d: u128) -> Self {
-        debug_assert!(d != 0);
-        let na = n.unsigned_abs();
-        let g = gcd_u128(na, d);
-        let (na, d) = (na / g, d / g);
-        let magnitude = Integer::from(na);
-        let numer = if n < 0 { -magnitude } else { magnitude };
-        Rational { numer, denom: Natural::from(d) }
-    }
-
-    /// Machine-word view: `Some((numerator, denominator))` when both parts
-    /// fit, i.e. when the value is on the small path.
-    fn small_parts(&self) -> Option<(i64, u64)> {
-        Some((self.numer.to_i64()?, self.denom.to_u64()?))
     }
 
     /// Numerator (sign-carrying, in lowest terms).
@@ -208,10 +161,6 @@ impl Rational {
     fn reduce(&mut self) {
         if self.numer.is_zero() {
             self.denom = Natural::one();
-            return;
-        }
-        if let Some((n, d)) = self.small_parts() {
-            *self = Rational::from_machine(n as i128, d as u128);
             return;
         }
         let mag = self.numer.magnitude();
@@ -315,10 +264,6 @@ impl FromStr for Rational {
 impl Ord for Rational {
     fn cmp(&self, other: &Self) -> Ordering {
         // a/b ? c/d  <=>  a*d ? c*b   (b, d > 0)
-        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), other.small_parts()) {
-            // |i64 × u64| < 2^127: the cross products always fit i128.
-            return ((an as i128) * (bd as i128)).cmp(&((bn as i128) * (ad as i128)));
-        }
         let lhs = &self.numer * &Integer::from(other.denom.clone());
         let rhs = &other.numer * &Integer::from(self.denom.clone());
         lhs.cmp(&rhs)
@@ -364,17 +309,6 @@ impl Neg for Rational {
 impl Add for &Rational {
     type Output = Rational;
     fn add(self, rhs: &Rational) -> Rational {
-        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
-            // Each cross product fits i128; only the final sum can overflow,
-            // in which case we fall through to the big path.
-            let n1 = (an as i128) * (bd as i128);
-            let n2 = (bn as i128) * (ad as i128);
-            if let Some(n) = n1.checked_add(n2) {
-                stats::record_small_hit();
-                return Rational::from_machine(n, (ad as u128) * (bd as u128));
-            }
-        }
-        stats::record_big_fallback();
         let numer = &(&self.numer * &Integer::from(rhs.denom.clone()))
             + &(&rhs.numer * &Integer::from(self.denom.clone()));
         let denom = &self.denom * &rhs.denom;
@@ -404,15 +338,6 @@ impl AddAssign for Rational {
 impl Sub for &Rational {
     type Output = Rational;
     fn sub(self, rhs: &Rational) -> Rational {
-        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
-            let n1 = (an as i128) * (bd as i128);
-            let n2 = (bn as i128) * (ad as i128);
-            if let Some(n) = n1.checked_sub(n2) {
-                stats::record_small_hit();
-                return Rational::from_machine(n, (ad as u128) * (bd as u128));
-            }
-        }
-        stats::record_big_fallback();
         let numer = &(&self.numer * &Integer::from(rhs.denom.clone()))
             - &(&rhs.numer * &Integer::from(self.denom.clone()));
         let denom = &self.denom * &rhs.denom;
@@ -436,16 +361,6 @@ impl SubAssign<&Rational> for Rational {
 impl Mul for &Rational {
     type Output = Rational;
     fn mul(self, rhs: &Rational) -> Rational {
-        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
-            // i64 × i64 and u64 × u64 always fit the wide words: the fast
-            // path cannot overflow here.
-            stats::record_small_hit();
-            return Rational::from_machine(
-                (an as i128) * (bn as i128),
-                (ad as u128) * (bd as u128),
-            );
-        }
-        stats::record_big_fallback();
         Rational::new(&self.numer * &rhs.numer, &self.denom * &rhs.denom)
     }
 }
@@ -467,13 +382,6 @@ impl Div for &Rational {
     type Output = Rational;
     fn div(self, rhs: &Rational) -> Rational {
         assert!(!rhs.is_zero(), "division by zero rational");
-        if let (Some((an, ad)), Some((bn, bd))) = (self.small_parts(), rhs.small_parts()) {
-            stats::record_small_hit();
-            let n = (an as i128) * (bd as i128);
-            let n = if bn < 0 { -n } else { n };
-            return Rational::from_machine(n, (ad as u128) * (bn.unsigned_abs() as u128));
-        }
-        stats::record_big_fallback();
         self * &rhs.recip()
     }
 }
@@ -543,46 +451,48 @@ mod tests {
     }
 
     #[test]
-    fn fast_and_big_paths_agree() {
-        // The same operations routed through the big path (operands with
-        // huge unreduced components cancel to the same values) must yield
-        // identical results.
-        let cases = [(1i64, 2i64, 1i64, 3i64), (-7, 3, 5, 11), (6, 8, -6, 8), (0, 5, 3, 7)];
-        for (an, ad, bn, bd) in cases {
-            let (fa, fb) = (rat(an, ad), rat(bn, bd));
-            let (ba, bb) = (big_route(an, ad), big_route(bn, bd));
-            assert_eq!(&fa + &fb, &ba + &bb, "{an}/{ad} + {bn}/{bd}");
-            assert_eq!(&fa - &fb, &ba - &bb, "{an}/{ad} - {bn}/{bd}");
-            assert_eq!(&fa * &fb, &ba * &bb, "{an}/{ad} * {bn}/{bd}");
-            if bn != 0 {
-                assert_eq!(&fa / &fb, &ba / &bb, "{an}/{ad} / {bn}/{bd}");
-            }
-            assert_eq!(fa.cmp(&fb), ba.cmp(&bb), "{an}/{ad} <=> {bn}/{bd}");
-        }
-    }
-
-    #[test]
     fn fast_path_overflow_falls_back_exactly() {
+        // Operands at the machine-word boundary: (2^63−1)/(2^64−1) is in
+        // lowest terms, and each cross product of a sum is about 2^127, so
+        // the parts' own arithmetic leaves machine words and the sums must
+        // still come out exact.
         let a = Rational::from(i64::MAX);
         let sum = &a + &a;
         assert_eq!(sum, Rational::from(2i128 * i64::MAX as i128));
-        // A genuinely overflowing cross sum: both operands are
-        // (2^63−1)/(2^64−1) (coprime, so machine-word eligible); each cross
-        // product is (2^63−1)(2^64−1) ≈ 2^127 and their sum exceeds
-        // i128::MAX, forcing the checked_add fallback to the big path.
+        assert_eq!(sum.numer().to_i64(), None, "the sum's numerator is past i64");
         let b = Rational::new(Integer::from(i64::MAX), Natural::from(u64::MAX));
         assert_eq!(b.numer(), &Integer::from(i64::MAX), "operand must be machine-word");
-        let sum = &b + &b;
         let expect =
             Rational::new(&Integer::from(2) * &Integer::from(i64::MAX), Natural::from(u64::MAX));
-        assert_eq!(sum, expect);
-        // And the mixed-denominator shape from before, for good measure.
-        let sum = &a + &b;
+        assert_eq!(&b + &b, expect);
+        // And the mixed-denominator shape.
         let expect = Rational::new(
             &(&Integer::from(i64::MAX) * &Integer::from(u64::MAX)) + &Integer::from(i64::MAX),
             Natural::from(u64::MAX),
         );
-        assert_eq!(sum, expect);
+        assert_eq!(&a + &b, expect);
+    }
+
+    #[test]
+    fn limb_sized_parts_obey_the_field_laws() {
+        // Values whose reduced numerator and denominator are both past u64,
+        // so every operation runs on limbs end to end.
+        let two = Natural::from(2u64);
+        let a = Rational::new(
+            Integer::from(&two.pow(100) + &Natural::one()),
+            &two.pow(70) + &Natural::from(3u64),
+        );
+        let b = Rational::new(-Integer::from(&two.pow(90) + &Natural::from(7u64)), two.pow(65));
+        assert!(a.denom().to_u64().is_none() && b.numer().to_i64().is_none());
+        assert_eq!(&(&a + &b) - &b, a);
+        assert_eq!(&(&a - &b) + &b, a);
+        assert_eq!(&(&a * &b) / &b, a);
+        assert_eq!(&a * &a.recip(), Rational::one());
+        assert_eq!(&a - &a, Rational::zero());
+        assert_eq!(&a + &(-&a), Rational::zero());
+        assert!(b < a && a < &a + &Rational::one());
+        assert_eq!(&a * &b, &b * &a);
+        assert_eq!((&(&a + &b) * &a), &(&a * &a) + &(&b * &a));
     }
 
     #[test]

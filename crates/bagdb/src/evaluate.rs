@@ -18,9 +18,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use dioph_arith::Natural;
-use dioph_cq::{
-    query_homomorphisms, ConjunctiveQuery, Substitution, Term, UnionOfConjunctiveQueries,
-};
+use dioph_cq::{query_homomorphisms, ConjunctiveQuery, Substitution, Term};
 
 use crate::instance::{BagInstance, SetInstance};
 
@@ -31,12 +29,6 @@ pub fn set_answers(query: &ConjunctiveQuery, instance: &SetInstance) -> BTreeSet
         .into_iter()
         .map(|h| h.apply_tuple(query.head()))
         .collect()
-}
-
-/// `true` iff `tuple` is an answer of `query` on `instance` under set
-/// semantics.
-pub fn is_set_answer(query: &ConjunctiveQuery, instance: &SetInstance, tuple: &[Term]) -> bool {
-    set_answers(query, instance).contains(tuple)
 }
 
 /// The answers of a query under **bag semantics** (Equation 2): a map from
@@ -86,34 +78,6 @@ fn homomorphism_contribution(
         }
     }
     product
-}
-
-/// Bag answers of a **union** of conjunctive queries: the sum of the
-/// disjuncts' bag answers.
-pub fn ucq_bag_answers(
-    ucq: &UnionOfConjunctiveQueries,
-    bag: &BagInstance,
-) -> BTreeMap<Vec<Term>, Natural> {
-    let mut out: BTreeMap<Vec<Term>, Natural> = BTreeMap::new();
-    for disjunct in ucq.disjuncts() {
-        for (tuple, mult) in bag_answers(disjunct, bag) {
-            out.entry(tuple).and_modify(|m| *m += &mult).or_insert(mult);
-        }
-    }
-    out
-}
-
-/// Set answers of a union of conjunctive queries: the union of the disjuncts'
-/// answer sets.
-pub fn ucq_set_answers(
-    ucq: &UnionOfConjunctiveQueries,
-    instance: &SetInstance,
-) -> BTreeSet<Vec<Term>> {
-    let mut out = BTreeSet::new();
-    for disjunct in ucq.disjuncts() {
-        out.extend(set_answers(disjunct, instance));
-    }
-    out
 }
 
 /// A witness that one particular bag instance violates a containment
@@ -219,8 +183,6 @@ mod tests {
         assert_eq!(answers.len(), 2);
         assert!(answers.contains(&vec![c("c1"), c("c2")]));
         assert!(answers.contains(&vec![c("c1"), c("c5")]));
-        assert!(is_set_answer(&q, &inst, &[c("c1"), c("c5")]));
-        assert!(!is_set_answer(&q, &inst, &[c("c1"), c("c4")]));
     }
 
     #[test]
@@ -301,22 +263,6 @@ mod tests {
         ]);
         // Homomorphisms: (y1,y2) ∈ {b,d}²: contributions 4, 6, 6, 9 → 25.
         assert_eq!(bag_answer_multiplicity(&q, &bag, &[c("a")]), nat(25));
-    }
-
-    #[test]
-    fn ucq_answers_sum() {
-        let ucq = dioph_cq::parse_ucq("q1(x) <- R(x, x); q2(x) <- S(x)").unwrap();
-        let bag = BagInstance::from_u64_multiplicities([
-            (Atom::new("R", vec![c("a"), c("a")]), 2),
-            (Atom::new("S", vec![c("a")]), 5),
-            (Atom::new("S", vec![c("b")]), 7),
-        ]);
-        let answers = ucq_bag_answers(&ucq, &bag);
-        assert_eq!(answers[&vec![c("a")]], nat(7));
-        assert_eq!(answers[&vec![c("b")]], nat(7));
-        let inst = bag.support();
-        let set = ucq_set_answers(&ucq, &inst);
-        assert_eq!(set.len(), 2);
     }
 
     #[test]

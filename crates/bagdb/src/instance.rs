@@ -4,7 +4,7 @@ use core::fmt;
 use std::collections::{BTreeMap, BTreeSet};
 
 use dioph_arith::Natural;
-use dioph_cq::{Atom, Term};
+use dioph_cq::Atom;
 
 /// A set database instance: a finite set of facts (ground atoms).
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
@@ -22,7 +22,7 @@ impl SetInstance {
     ///
     /// # Panics
     /// Panics if any atom is not ground.
-    pub fn from_facts(facts: impl IntoIterator<Item = Atom>) -> Self {
+    pub(crate) fn from_facts(facts: impl IntoIterator<Item = Atom>) -> Self {
         let mut inst = SetInstance::new();
         for f in facts {
             inst.insert(f);
@@ -57,25 +57,6 @@ impl SetInstance {
     /// `true` iff the instance has no facts.
     pub fn is_empty(&self) -> bool {
         self.facts.is_empty()
-    }
-
-    /// The active domain: all constants occurring in the instance.
-    pub fn active_domain(&self) -> BTreeSet<Term> {
-        let mut out = BTreeSet::new();
-        for fact in &self.facts {
-            out.extend(fact.constants());
-        }
-        out
-    }
-
-    /// The relation names occurring in the instance.
-    pub fn relation_names(&self) -> BTreeSet<String> {
-        self.facts.iter().map(|f| f.relation().to_string()).collect()
-    }
-
-    /// `true` iff this instance is a subset of `other`.
-    pub fn is_subinstance_of(&self, other: &SetInstance) -> bool {
-        self.facts.is_subset(&other.facts)
     }
 }
 
@@ -188,16 +169,6 @@ impl BagInstance {
         SetInstance::from_facts(self.multiplicities.keys().cloned())
     }
 
-    /// Sum of all multiplicities (the total number of tuples counting
-    /// duplicates).
-    pub fn total_multiplicity(&self) -> Natural {
-        let mut acc = Natural::zero();
-        for m in self.multiplicities.values() {
-            acc += m;
-        }
-        acc
-    }
-
     /// `true` iff `self ⊆ other` as bags: every fact's multiplicity here is
     /// at most its multiplicity there.
     pub fn is_subbag_of(&self, other: &BagInstance) -> bool {
@@ -240,7 +211,7 @@ impl fmt::Display for BagInstance {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dioph_cq::paper_examples;
+    use dioph_cq::{paper_examples, Term};
 
     fn c(n: &str) -> Term {
         Term::constant(n)
@@ -254,8 +225,6 @@ mod tests {
         assert!(!inst.insert(Atom::new("R", vec![c("a"), c("b")])));
         assert!(inst.contains(&Atom::new("R", vec![c("a"), c("b")])));
         assert_eq!(inst.len(), 1);
-        assert_eq!(inst.active_domain().len(), 2);
-        assert_eq!(inst.relation_names(), BTreeSet::from(["R".to_string()]));
     }
 
     #[test]
@@ -266,11 +235,20 @@ mod tests {
     }
 
     #[test]
+    fn from_facts_ignores_order_and_duplicates() {
+        let ab = Atom::new("R", vec![c("a"), c("b")]);
+        let ba = Atom::new("R", vec![c("b"), c("a")]);
+        let forward = SetInstance::from_facts([ab.clone(), ba.clone(), ab.clone()]);
+        let backward = SetInstance::from_facts([ba, ab]);
+        assert_eq!(forward, backward);
+        assert_eq!(forward.len(), 2);
+        assert_eq!(forward, backward.facts().iter().cloned().collect::<SetInstance>());
+    }
+
+    #[test]
     fn paper_section2_instance() {
         let inst = SetInstance::from_facts(paper_examples::section2_instance());
         assert_eq!(inst.len(), 4);
-        assert_eq!(inst.active_domain().len(), 5);
-        assert_eq!(inst.relation_names().len(), 2);
     }
 
     #[test]
@@ -279,7 +257,6 @@ mod tests {
         assert_eq!(bag.support_size(), 4);
         assert_eq!(bag.multiplicity(&Atom::new("P", vec![c("c5"), c("c4")])), Natural::from(3u64));
         assert_eq!(bag.multiplicity(&Atom::new("P", vec![c("c9"), c("c4")])), Natural::zero());
-        assert_eq!(bag.total_multiplicity(), Natural::from(7u64));
         assert_eq!(bag.support().len(), 4);
     }
 
@@ -317,7 +294,8 @@ mod tests {
     fn uniform_ones_and_restrict() {
         let inst = SetInstance::from_facts(paper_examples::section2_instance());
         let ones = BagInstance::uniform_ones(&inst);
-        assert_eq!(ones.total_multiplicity(), Natural::from(4u64));
+        assert_eq!(ones.support_size(), 4);
+        assert!(ones.iter().all(|(_, m)| m.is_one()));
         let sub = SetInstance::from_facts([Atom::new("R", vec![c("c1"), c("c2")])]);
         let restricted = ones.restrict_to(&sub);
         assert_eq!(restricted.support_size(), 1);

@@ -35,7 +35,6 @@ mod instance;
 
 pub use enumerate::{bounded_bag_count, enumerate_bounded_bags, ground_atoms, BoundedBags};
 pub use evaluate::{
-    bag_answer_multiplicity, bag_answers, bag_containment_holds_on, is_set_answer, set_answers,
-    ucq_bag_answers, ucq_set_answers, BagViolation,
+    bag_answer_multiplicity, bag_answers, bag_containment_holds_on, set_answers, BagViolation,
 };
 pub use instance::{BagInstance, SetInstance};

@@ -68,7 +68,7 @@ impl CompiledProbe {
     /// [`Self::compile`] taking ownership of the probe tuple, so callers that
     /// materialise the tuple anyway (the probe-space resolution of
     /// [`CompiledPair::probe`]) hand it over instead of copying it again.
-    pub fn compile_owned(
+    fn compile_owned(
         containee: &ConjunctiveQuery,
         containing: &ConjunctiveQuery,
         probe: Vec<Term>,

@@ -53,7 +53,7 @@ impl Atom {
 
     /// Applies the `can(·)` bijection to every variable, producing the ground
     /// atom used in canonical instances.
-    pub fn canonicalize(&self) -> Atom {
+    pub(crate) fn canonicalize(&self) -> Atom {
         Atom {
             relation: self.relation.clone(),
             terms: self.terms.iter().map(Term::canonicalize).collect(),
@@ -62,7 +62,7 @@ impl Atom {
 
     /// `true` iff the two atoms share relation name and arity (so they could
     /// potentially be unified / matched).
-    pub fn same_schema(&self, other: &Atom) -> bool {
+    pub(crate) fn same_schema(&self, other: &Atom) -> bool {
         self.relation == other.relation && self.arity() == other.arity()
     }
 }

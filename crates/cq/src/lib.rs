@@ -39,7 +39,6 @@ mod query;
 mod span;
 mod substitution;
 mod term;
-mod ucq;
 
 pub use atom::Atom;
 pub use homomorphism::{
@@ -49,12 +48,11 @@ pub use homomorphism::{
     try_for_each_containment_mapping_to_grounded, MappingBindings,
 };
 pub use parser::{
-    parse_program, parse_program_spanned, parse_query, parse_query_spanned, parse_ucq,
-    ParseQueryError, ProgramParseError,
+    parse_program, parse_program_spanned, parse_query, parse_query_spanned, ParseQueryError,
+    ProgramParseError,
 };
 pub use probe::{canonical_active_domain, most_general_probe_tuple, probe_tuples, ProbeSpace};
 pub use query::ConjunctiveQuery;
 pub use span::{line_column, AtomOccurrence, QuerySpans, Span, SpannedQuery};
 pub use substitution::Substitution;
 pub use term::Term;
-pub use ucq::UnionOfConjunctiveQueries;

@@ -1,9 +1,8 @@
 //! A small parser for conjunctive queries in the paper's datalog notation.
 //!
-//! Three entry points, in increasing granularity:
+//! Two entry points, in increasing granularity:
 //!
 //! * [`parse_query`] — a single query (byte-offset errors);
-//! * [`parse_ucq`] — `;`/newline-separated disjuncts of one arity;
 //! * [`parse_program`] — a whole file of `.`-terminated queries with
 //!   `%`/`#` line comments and line/column error spans, the entry point the
 //!   `diophantus` CLI uses for its diagnostics.
@@ -27,7 +26,6 @@ use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
 use crate::span::{line_column, AtomOccurrence, QuerySpans, Span, SpannedQuery};
 use crate::term::Term;
-use crate::ucq::UnionOfConjunctiveQueries;
 
 /// Error produced when parsing a query fails.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -74,26 +72,6 @@ pub fn parse_query_spanned(input: &str) -> Result<SpannedQuery, ParseQueryError>
         return Err(ParseQueryError::new("unexpected trailing input", p.pos));
     }
     Ok(q)
-}
-
-/// Parses a union of conjunctive queries: one query per non-empty line (or
-/// queries separated by `;`). All disjuncts must share the same arity.
-pub fn parse_ucq(input: &str) -> Result<UnionOfConjunctiveQueries, ParseQueryError> {
-    let mut disjuncts = Vec::new();
-    for piece in input.split([';', '\n']) {
-        if piece.trim().is_empty() {
-            continue;
-        }
-        disjuncts.push(parse_query(piece)?);
-    }
-    if disjuncts.is_empty() {
-        return Err(ParseQueryError::new("a UCQ needs at least one disjunct", 0));
-    }
-    let arity = disjuncts[0].arity();
-    if disjuncts.iter().any(|d| d.arity() != arity) {
-        return Err(ParseQueryError::new("all UCQ disjuncts must have the same arity", 0));
-    }
-    Ok(UnionOfConjunctiveQueries::new(disjuncts))
 }
 
 /// Error produced when parsing a multi-query program fails. Unlike
@@ -574,21 +552,24 @@ mod tests {
     }
 
     #[test]
+    fn union_separators_are_rejected_where_they_occur() {
+        // Unions of conjunctive queries are outside the decidable fragment,
+        // so `;` is not a separator: a single query stops right at it, and a
+        // program reports its line and column.
+        let input = "q1(x) <- R(x, x); q2(x) <- S(x)";
+        let err = parse_query(input).unwrap_err();
+        assert_eq!(err.position(), input.find(';').unwrap(), "{err}");
+        assert!(err.to_string().contains("trailing input"), "{err}");
+        let err = parse_program("q(x) <- R(x).\nq1(x) <- R(x, x); q2(x) <- S(x).").unwrap_err();
+        assert_eq!((err.line(), err.column()), (2, 17), "{err}");
+    }
+
+    #[test]
     fn program_error_display_and_accessors() {
         let err = parse_program("q(x) <-").unwrap_err();
         assert!(err.line() == 1 && err.column() >= 8);
         assert!(!err.message().is_empty());
         let cloned = err.clone();
         assert_eq!(cloned, err);
-    }
-
-    #[test]
-    fn parses_ucqs() {
-        let ucq = parse_ucq("q1(x) <- R(x, x); q2(x) <- S(x, 'c')").unwrap();
-        assert_eq!(ucq.disjuncts().len(), 2);
-        let ucq2 = parse_ucq("q1(x) <- R(x, x)\nq2(x) <- S(x, 'c')\n").unwrap();
-        assert_eq!(ucq2.disjuncts().len(), 2);
-        assert!(parse_ucq("").is_err());
-        assert!(parse_ucq("q1(x) <- R(x); q2(x, y) <- R(x, y)").is_err());
     }
 }

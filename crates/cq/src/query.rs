@@ -150,17 +150,6 @@ impl ConjunctiveQuery {
         self.body.keys().map(Atom::canonicalize).collect()
     }
 
-    /// The canonical instance together with the body multiplicities carried
-    /// over (atoms that collapse under canonicalisation accumulate, per
-    /// Equation 1 applied to the canonicalising substitution).
-    pub fn canonical_instance_bag(&self) -> BTreeMap<Atom, u64> {
-        let mut out: BTreeMap<Atom, u64> = BTreeMap::new();
-        for (atom, mult) in &self.body {
-            *out.entry(atom.canonicalize()).or_insert(0) += mult;
-        }
-        out
-    }
-
     /// Applies a substitution `σ` to the query, producing `σ(q)`:
     /// the head becomes `σ(x)` and body multiplicities accumulate over atoms
     /// that become equal (Equation 1 of the paper).
@@ -421,9 +410,6 @@ mod tests {
         assert_eq!(inst.len(), 4);
         assert!(inst.contains(&Atom::new("R", vec![Term::canon("x1"), Term::canon("y1")])));
         assert!(inst.iter().all(Atom::is_ground));
-        // The bag version keeps multiplicities.
-        let bag = q.canonical_instance_bag();
-        assert_eq!(bag[&Atom::new("P", vec![Term::canon("y2"), Term::canon("y3")])], 2);
     }
 
     #[test]

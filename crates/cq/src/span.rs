@@ -115,7 +115,7 @@ impl SpannedQuery {
 
     /// The span of the first occurrence of variable `name` in the body, in
     /// source order.
-    pub fn body_variable_span(&self, name: &str) -> Option<Span> {
+    fn body_variable_span(&self, name: &str) -> Option<Span> {
         for occ in &self.spans.atoms {
             for (term, span) in occ.atom.terms().iter().zip(&occ.term_spans) {
                 if term.as_var() == Some(name) {
@@ -130,12 +130,6 @@ impl SpannedQuery {
     /// query (head first, then body in source order).
     pub fn variable_span(&self, name: &str) -> Option<Span> {
         self.head_variable_span(name).or_else(|| self.body_variable_span(name))
-    }
-
-    /// The span of the first body occurrence of `atom` (compared
-    /// structurally, multiplicity ignored).
-    pub fn atom_span(&self, atom: &Atom) -> Option<Span> {
-        self.spans.atoms.iter().find(|occ| &occ.atom == atom).map(|occ| occ.span)
     }
 
     /// All spans of terms equal to `term` in the body, in source order.

@@ -54,7 +54,7 @@ impl Substitution {
 
     /// Binds `var ↦ term`. Returns `Err(existing)` if the variable is already
     /// bound to a *different* term (binding the same term again is a no-op).
-    pub fn bind(&mut self, var: &str, term: Term) -> Result<(), Term> {
+    pub(crate) fn bind(&mut self, var: &str, term: Term) -> Result<(), Term> {
         match self.map.get(var) {
             Some(existing) if *existing != term => Err(existing.clone()),
             Some(_) => Ok(()),
@@ -66,7 +66,7 @@ impl Substitution {
     }
 
     /// Applies the substitution to a term.
-    pub fn apply_term(&self, term: &Term) -> Term {
+    fn apply_term(&self, term: &Term) -> Term {
         match term {
             Term::Var(v) => self.map.get(v).cloned().unwrap_or_else(|| term.clone()),
             other => other.clone(),
@@ -83,28 +83,13 @@ impl Substitution {
         terms.iter().map(|t| self.apply_term(t)).collect()
     }
 
-    /// Functional composition: `(self ∘ first)(x) = self(first(x))`.
-    ///
-    /// The result first applies `first` and then `self`; its domain is the
-    /// union of the two domains.
-    pub fn compose_after(&self, first: &Substitution) -> Substitution {
-        let mut out = BTreeMap::new();
-        for (v, t) in &first.map {
-            out.insert(v.clone(), self.apply_term(t));
-        }
-        for (v, t) in &self.map {
-            out.entry(v.clone()).or_insert_with(|| t.clone());
-        }
-        Substitution { map: out }
-    }
-
     /// Attempts to extend this substitution so that it unifies the tuple of
     /// terms `pattern` with the tuple of *ground* terms `target`
     /// (componentwise). Constants in the pattern must match exactly.
     ///
     /// Returns `false` (leaving `self` possibly partially extended) when
     /// unification fails; callers that need rollback should clone first.
-    pub fn unify_tuples(&mut self, pattern: &[Term], target: &[Term]) -> bool {
+    pub(crate) fn unify_tuples(&mut self, pattern: &[Term], target: &[Term]) -> bool {
         if pattern.len() != target.len() {
             return false;
         }
@@ -187,19 +172,6 @@ mod tests {
     }
 
     #[test]
-    fn composition_order() {
-        // first: x -> y;  second: y -> c.   second∘first maps x -> c and y -> c.
-        let first = Substitution::from_pairs([("x".to_string(), Term::var("y"))]);
-        let second = Substitution::from_pairs([("y".to_string(), Term::constant("c"))]);
-        let composed = second.compose_after(&first);
-        assert_eq!(composed.apply_term(&Term::var("x")), Term::constant("c"));
-        assert_eq!(composed.apply_term(&Term::var("y")), Term::constant("c"));
-        // The other order behaves differently: first∘second maps x -> y.
-        let other = first.compose_after(&second);
-        assert_eq!(other.apply_term(&Term::var("x")), Term::var("y"));
-    }
-
-    #[test]
     fn tuple_unification() {
         let mut s = Substitution::identity();
         // (x, y, x) unifies with (c1, c2, c1).
@@ -224,6 +196,31 @@ mod tests {
         // Arity mismatch never unifies.
         let mut s4 = Substitution::identity();
         assert!(!s4.unify_tuples(&[Term::var("x")], &[]));
+    }
+
+    #[test]
+    fn unification_respects_earlier_bindings() {
+        // A variable bound before the call keeps its image: unification
+        // extends the substitution and never rebinds.
+        let mut s = Substitution::identity();
+        s.bind("x", Term::constant("c1")).unwrap();
+        assert!(!s.unify_tuples(&[Term::var("x")], &[Term::constant("c2")]));
+        assert_eq!(s.get("x"), Some(&Term::constant("c1")));
+
+        let mut s = Substitution::identity();
+        s.bind("x", Term::constant("c1")).unwrap();
+        assert!(s.unify_tuples(
+            &[Term::var("x"), Term::var("y")],
+            &[Term::constant("c1"), Term::constant("c2")]
+        ));
+        assert_eq!(s.len(), 2);
+        assert_eq!(s.get("y"), Some(&Term::constant("c2")));
+        // The grown substitution maps the pattern onto the target.
+        let pattern = Atom::new("R", vec![Term::var("x"), Term::var("y")]);
+        assert_eq!(
+            s.apply_atom(&pattern),
+            Atom::new("R", vec![Term::constant("c1"), Term::constant("c2")])
+        );
     }
 
     #[test]

@@ -58,7 +58,7 @@ impl Term {
     /// Applies the `can(·)` bijection: variables become their canonical
     /// constants; constants are untouched (the paper's grounding of a query
     /// into its canonical instance).
-    pub fn canonicalize(&self) -> Term {
+    pub(crate) fn canonicalize(&self) -> Term {
         match self {
             Term::Var(v) => Term::CanonConst(v.clone()),
             other => other.clone(),
@@ -67,7 +67,7 @@ impl Term {
 
     /// Inverse of [`Term::canonicalize`]: canonical constants become their
     /// variables; other terms are untouched.
-    pub fn decanonicalize(&self) -> Term {
+    pub(crate) fn decanonicalize(&self) -> Term {
         match self {
             Term::CanonConst(v) => Term::Var(v.clone()),
             other => other.clone(),

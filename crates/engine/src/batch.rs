@@ -173,7 +173,7 @@ impl CompilationCache {
     ///
     /// # Errors
     /// The validation errors of [`CompiledPair::new`].
-    pub fn get_or_compile(
+    fn get_or_compile(
         &self,
         containee: &ConjunctiveQuery,
         containing: &ConjunctiveQuery,

@@ -96,7 +96,7 @@ impl DecisionEngine {
     }
 
     /// The equivalent sequential decider (same algorithm, same LP engine).
-    pub fn sequential_decider(&self) -> BagContainmentDecider {
+    pub(crate) fn sequential_decider(&self) -> BagContainmentDecider {
         BagContainmentDecider::new(self.config.algorithm).with_engine(self.config.engine)
     }
 

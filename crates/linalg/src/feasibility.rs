@@ -18,7 +18,9 @@
 //! built straight from the non-zero exponent differences. Fourier–Motzkin
 //! elimination stays reachable through [`FeasibilityEngine::FourierMotzkin`]
 //! as the differential oracle that the tests compare the kernel
-//! against.
+//! against. The simplex's witness is a natural vector from the start (the
+//! dual's prices over their gcd, below); only the Fourier–Motzkin oracle's
+//! rational point is scaled by the lcm of its denominators.
 //!
 //! # The Gordan dual
 //!
@@ -164,7 +166,7 @@ impl StrictHomogeneousSystem {
     /// Renders the system as a [`LinearSystem`] with strict rows and explicit
     /// non-negativity constraints: the Fourier–Motzkin oracle's input (the
     /// simplex runs on the stored rows).
-    pub fn to_linear_system(&self) -> LinearSystem {
+    fn to_linear_system(&self) -> LinearSystem {
         let mut sys = LinearSystem::new(self.dimension);
         for row in &self.rows {
             sys.push(Constraint::from_integers(&row.to_dense_vec(), Relation::Gt, Integer::zero()));
@@ -173,25 +175,55 @@ impl StrictHomogeneousSystem {
         sys
     }
 
-    /// Decides rational feasibility and returns a rational witness if one
-    /// exists.
+    /// Decides feasibility and returns a **natural-number** witness if one
+    /// exists (Theorem 4.1's "Diophantine solution" of the linear system).
+    ///
+    /// The simplex reads the witness off the Gordan dual's final prices,
+    /// which are integers, divided by their gcd (see the module docs).
+    /// Fourier–Motzkin finds a rational point, which is scaled by the least
+    /// common multiple of its denominators; since the system is homogeneous
+    /// and every component is non-negative, the scaled vector is a valid
+    /// natural solution.
     ///
     /// An empty system (no rows) over at least one unknown is trivially
     /// feasible (witness: all zeros); over zero unknowns it is also feasible
     /// with the empty witness.
     ///
+    /// # Examples
+    ///
+    /// The system of the paper's running example, whose own solution is
+    /// `(0, 2, 1)`, and two rows that contradict each other:
+    ///
+    /// ```
+    /// use dioph_arith::Natural;
+    /// use dioph_linalg::{FeasibilityEngine, StrictHomogeneousSystem};
+    ///
+    /// let mut sys = StrictHomogeneousSystem::new(3);
+    /// sys.push_row_i64(&[-5, 1, 3]);
+    /// sys.push_row_i64(&[-3, -1, 3]);
+    /// sys.push_row_i64(&[-1, 1, -1]);
+    /// let witness = sys.natural_solution(FeasibilityEngine::Simplex).unwrap().unwrap();
+    /// assert_eq!(witness, [0u64, 2, 1].map(Natural::from));
+    /// assert!(sys.is_satisfied_by_naturals(&witness));
+    ///
+    /// let mut contradiction = StrictHomogeneousSystem::new(1);
+    /// contradiction.push_row_i64(&[1]);
+    /// contradiction.push_row_i64(&[-1]);
+    /// assert_eq!(contradiction.natural_solution(FeasibilityEngine::Simplex).unwrap(), None);
+    /// ```
+    ///
     /// # Errors
     /// [`LinalgError::IterationBudget`] if the simplex exhausts its
     /// (defensive, generous) iteration budget.
-    pub fn rational_solution(
+    pub fn natural_solution(
         &self,
         engine: FeasibilityEngine,
-    ) -> Result<Option<Vec<Rational>>, LinalgError> {
+    ) -> Result<Option<Vec<Natural>>, LinalgError> {
         let mut scratch = LpScratch::default();
-        self.rational_solution_in(engine, &mut scratch)
+        self.natural_solution_in(engine, &mut scratch)
     }
 
-    /// [`Self::rational_solution`] through a caller-provided scratch: the
+    /// [`Self::natural_solution`] through a caller-provided scratch: the
     /// simplex draws every working buffer from `scratch` (recycled there
     /// afterwards), so a warmed scratch decides a system with no heap
     /// allocation beyond the returned witness. Reuse is capacity-only —
@@ -200,16 +232,16 @@ impl StrictHomogeneousSystem {
     /// any hot path).
     ///
     /// # Errors
-    /// As [`Self::rational_solution`].
-    pub fn rational_solution_in(
+    /// As [`Self::natural_solution`].
+    pub fn natural_solution_in(
         &self,
         engine: FeasibilityEngine,
         scratch: &mut LpScratch,
-    ) -> Result<Option<Vec<Rational>>, LinalgError> {
+    ) -> Result<Option<Vec<Natural>>, LinalgError> {
         dioph_obs::registry::LP_FEASIBILITY_CALLS.incr();
         let _lp_span = dioph_obs::span(dioph_obs::Phase::Lp);
         if self.rows.is_empty() {
-            return Ok(Some(vec![Rational::zero(); self.dimension])); // alloc-ok: returned witness
+            return Ok(Some(vec![Natural::zero(); self.dimension])); // alloc-ok: returned witness
         }
         // A row of all zeros can never be strictly positive.
         if self.rows.iter().any(IntRow::is_zero_row) {
@@ -226,11 +258,20 @@ impl StrictHomogeneousSystem {
                 // Each strict row A_i·ε > 0 normalises to -A_i·ε < 0, and
                 // each non-negativity ε_j ≥ 0 to -ε_j ≤ 0.
                 match fourier_motzkin::solve(&self.to_linear_system()) {
-                    FmOutcome::Feasible(x) => Ok(Some(x)),
+                    FmOutcome::Feasible(x) => Ok(Some(scale_to_naturals(&x))),
                     FmOutcome::Infeasible => Ok(None),
                 }
             }
         }
+    }
+
+    /// `true` iff the system admits a solution (equivalently: the associated
+    /// MPI admits a Diophantine solution, by Theorem 4.1).
+    ///
+    /// # Errors
+    /// As [`Self::natural_solution`].
+    pub fn is_feasible(&self, engine: FeasibilityEngine) -> Result<bool, LinalgError> {
+        Ok(self.natural_solution(engine)?.is_some())
     }
 
     /// The Gordan certificate of infeasibility: natural weights `λ ≥ 0`,
@@ -240,7 +281,7 @@ impl StrictHomogeneousSystem {
     /// feasible. Not on the decision path: the verdict never reads `λ`.
     ///
     /// # Errors
-    /// As [`Self::rational_solution`].
+    /// As [`Self::natural_solution`].
     pub fn dual_weights(&self) -> Result<Option<Vec<Natural>>, LinalgError> {
         let mut scratch = LpScratch::default();
         if !self.solve_dual_in(&mut scratch)? {
@@ -273,7 +314,7 @@ impl StrictHomogeneousSystem {
 
     /// Reads `ε` off the final prices of an infeasible dual run: the
     /// surplus prices of the `d` unknown rows over their gcd.
-    fn witness_from_prices(&self, scratch: &LpScratch) -> Vec<Rational> {
+    fn witness_from_prices(&self, scratch: &LpScratch) -> Vec<Natural> {
         let k = self.rows.len();
         let prices = scratch.objective.entries();
         let start = prices.partition_point(|(col, _)| *col < k);
@@ -286,63 +327,11 @@ impl StrictHomogeneousSystem {
             ),
         };
         debug_assert!(gcd.is_positive(), "an infeasible dual prices some surplus above zero");
-        let mut epsilon = vec![Rational::zero(); self.dimension]; // alloc-ok: returned witness
+        let mut epsilon = vec![Natural::zero(); self.dimension]; // alloc-ok: returned witness
         for (col, price) in prices {
-            epsilon[col - k] = Rational::from(price.exact_div(&gcd));
+            epsilon[col - k] = price.exact_div(&gcd).into_magnitude();
         }
         epsilon
-    }
-
-    /// Decides feasibility and returns a **natural-number** witness if one
-    /// exists (Theorem 4.1's "Diophantine solution" of the linear system).
-    ///
-    /// The witness is obtained by scaling a rational solution by the least
-    /// common multiple of its denominators; since the system is homogeneous
-    /// and all rational components are non-negative, the scaled vector is a
-    /// valid natural solution.
-    ///
-    /// # Errors
-    /// As [`Self::rational_solution`].
-    pub fn natural_solution(
-        &self,
-        engine: FeasibilityEngine,
-    ) -> Result<Option<Vec<Natural>>, LinalgError> {
-        Ok(self.rational_solution(engine)?.map(|rational| scale_to_naturals(&rational)))
-    }
-
-    /// [`Self::natural_solution`] through a caller-provided scratch (see
-    /// [`Self::rational_solution_in`]).
-    ///
-    /// # Errors
-    /// As [`Self::rational_solution`].
-    pub fn natural_solution_in(
-        &self,
-        engine: FeasibilityEngine,
-        scratch: &mut LpScratch,
-    ) -> Result<Option<Vec<Natural>>, LinalgError> {
-        Ok(self.rational_solution_in(engine, scratch)?.map(|rational| scale_to_naturals(&rational)))
-    }
-
-    /// `true` iff the system admits a solution (equivalently: the associated
-    /// MPI admits a Diophantine solution, by Theorem 4.1).
-    ///
-    /// # Errors
-    /// As [`Self::rational_solution`].
-    pub fn is_feasible(&self, engine: FeasibilityEngine) -> Result<bool, LinalgError> {
-        Ok(self.rational_solution(engine)?.is_some())
-    }
-
-    /// [`Self::is_feasible`] through a caller-provided scratch (see
-    /// [`Self::rational_solution_in`]).
-    ///
-    /// # Errors
-    /// As [`Self::rational_solution`].
-    pub fn is_feasible_in(
-        &self,
-        engine: FeasibilityEngine,
-        scratch: &mut LpScratch,
-    ) -> Result<bool, LinalgError> {
-        Ok(self.rational_solution_in(engine, scratch)?.is_some())
     }
 }
 
@@ -351,7 +340,7 @@ impl StrictHomogeneousSystem {
 ///
 /// # Panics
 /// Panics if any component is negative.
-pub fn scale_to_naturals(point: &[Rational]) -> Vec<Natural> {
+fn scale_to_naturals(point: &[Rational]) -> Vec<Natural> {
     let mut lcm = Natural::one();
     for value in point {
         assert!(!value.is_negative(), "cannot scale a negative rational to a natural");
@@ -456,8 +445,33 @@ mod tests {
     }
 
     #[test]
+    fn simplex_witnesses_are_primitive() {
+        // The dual's prices are divided by their gcd, so a simplex witness
+        // has no common factor: it is the least natural point on its ray.
+        let systems: &[&[&[i64]]] = &[
+            &[&[-5, 1, 3], &[-3, -1, 3], &[-1, 1, -1]],
+            &[&[2, 0], &[0, 4]],
+            &[&[6, -2, 0], &[-2, 6, -2], &[0, -2, 6]],
+            &[&[1, -3, 9], &[-9, 27, -1]],
+        ];
+        for rows in systems {
+            let mut sys = StrictHomogeneousSystem::new(rows[0].len());
+            for row in *rows {
+                sys.push_row_i64(row);
+            }
+            let witness = sys
+                .natural_solution(FeasibilityEngine::Simplex)
+                .unwrap()
+                .unwrap_or_else(|| panic!("{rows:?} is feasible"));
+            assert!(sys.is_satisfied_by_naturals(&witness), "{witness:?} misses {rows:?}");
+            let gcd = witness.iter().fold(Natural::zero(), |g, w| g.gcd(w));
+            assert!(gcd.is_one(), "{witness:?} is not primitive");
+        }
+    }
+
+    #[test]
     fn paper_running_example_witness_is_pinned() {
-        // Not just the verdict: the exact rational witness is what the JSON
+        // Not just the verdict: the exact witness is what the JSON
         // certificates print, so it is pinned literally — the paper's own
         // solution (0, 2, 1), recorded from the rational tableau the
         // fraction-free kernel replaced. Fourier–Motzkin is the verdict
@@ -466,8 +480,8 @@ mod tests {
         sys.push_row_i64(&[-5, 1, 3]);
         sys.push_row_i64(&[-3, -1, 3]);
         sys.push_row_i64(&[-1, 1, -1]);
-        let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
-        assert_eq!(witness, Some(vec![Rational::zero(), Rational::from(2), Rational::one()]));
+        let witness = sys.natural_solution(FeasibilityEngine::Simplex).unwrap();
+        assert_eq!(witness, Some(vec![Natural::zero(), Natural::from(2u64), Natural::one()]));
         assert!(sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap());
     }
 
@@ -497,10 +511,7 @@ mod tests {
         fresh.push_row_i64(&[-1, 1, -1]);
         assert_eq!(sys.rows(), fresh.rows());
         let engine = FeasibilityEngine::Simplex;
-        assert_eq!(
-            sys.rational_solution(engine).unwrap(),
-            fresh.rational_solution(engine).unwrap()
-        );
+        assert_eq!(sys.natural_solution(engine).unwrap(), fresh.natural_solution(engine).unwrap());
     }
 
     #[test]
@@ -511,22 +522,31 @@ mod tests {
         // changed pivot or elimination order cannot go unnoticed: the
         // Fourier–Motzkin ones were recorded before the row storage was
         // simplified, the simplex ones from the Gordan dual's prices (each
-        // is checked against its system as well).
+        // is checked against its system as well). The Fourier–Motzkin
+        // engine's natural witness is its rational point over the lcm of
+        // the denominators.
         let pinned = |rows: &[&[i64]], fm: Option<&[&str]>, simplex: Option<&[&str]>| {
             let mut sys = StrictHomogeneousSystem::new(rows[0].len());
             for row in rows {
                 sys.push_row_i64(row);
             }
-            let parse = |w: Option<&[&str]>| {
-                w.map(|w| w.iter().map(|c| c.parse().unwrap()).collect::<Vec<Rational>>())
+            let fm: Option<Vec<Rational>> =
+                fm.map(|w| w.iter().map(|c| c.parse().unwrap()).collect());
+            let point = match fourier_motzkin::solve(&sys.to_linear_system()) {
+                FmOutcome::Feasible(x) => Some(x),
+                FmOutcome::Infeasible => None,
             };
+            assert_eq!(point, fm, "{rows:?}");
             let engine = FeasibilityEngine::FourierMotzkin;
-            assert_eq!(sys.rational_solution(engine).unwrap(), parse(fm), "{rows:?}");
+            let scaled = fm.as_deref().map(scale_to_naturals);
+            assert_eq!(sys.natural_solution(engine).unwrap(), scaled, "{rows:?}");
             let engine = FeasibilityEngine::Simplex;
-            let witness = sys.rational_solution(engine).unwrap();
-            assert_eq!(witness, parse(simplex), "{rows:?}");
+            let witness = sys.natural_solution(engine).unwrap();
+            let simplex: Option<Vec<Natural>> =
+                simplex.map(|w| w.iter().map(|c| c.parse().unwrap()).collect());
+            assert_eq!(witness, simplex, "{rows:?}");
             if let Some(w) = witness {
-                assert!(sys.to_linear_system().is_satisfied_by(&w), "{w:?} misses {rows:?}");
+                assert!(sys.is_satisfied_by_naturals(&w), "{w:?} misses {rows:?}");
             }
         };
         pinned(

@@ -53,8 +53,8 @@ mod system;
 
 pub use bareiss::SimplexOutcome;
 pub use error::LinalgError;
-pub use feasibility::{scale_to_naturals, FeasibilityEngine, StrictHomogeneousSystem};
+pub use feasibility::{FeasibilityEngine, StrictHomogeneousSystem};
 pub use fourier_motzkin::FmOutcome;
 pub use row::IntRow;
 pub use scratch::{LpScratch, RowPool};
-pub use system::{dot, dot_int, dot_int_int, dot_int_nat, Constraint, LinearSystem, Relation};
+pub use system::{dot, Constraint, LinearSystem, Relation};

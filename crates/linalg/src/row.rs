@@ -104,7 +104,7 @@ impl IntRow {
     }
 
     /// `true` iff every coefficient is zero.
-    pub fn is_zero_row(&self) -> bool {
+    pub(crate) fn is_zero_row(&self) -> bool {
         self.entries.is_empty()
     }
 

@@ -61,7 +61,7 @@ impl RowPool {
     }
 
     /// Tears a row down, reclaiming its entry storage.
-    pub fn reclaim(&mut self, row: IntRow) {
+    pub(crate) fn reclaim(&mut self, row: IntRow) {
         self.put(row.into_entries());
     }
 

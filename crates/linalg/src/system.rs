@@ -2,7 +2,7 @@
 
 use core::fmt;
 
-use dioph_arith::{Integer, Natural, Rational};
+use dioph_arith::{Integer, Rational};
 
 /// Comparison operator of a single linear constraint.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Hash)]
@@ -29,11 +29,6 @@ impl Relation {
             Relation::Gt => lhs > rhs,
             Relation::Eq => lhs == rhs,
         }
-    }
-
-    /// `true` for the strict relations `<` and `>`.
-    pub fn is_strict(self) -> bool {
-        matches!(self, Relation::Lt | Relation::Gt)
     }
 }
 
@@ -90,14 +85,9 @@ impl Constraint {
         self.coeffs.len()
     }
 
-    /// Evaluates `coeffs · point`.
-    pub fn lhs_value(&self, point: &[Rational]) -> Rational {
-        dot(&self.coeffs, point)
-    }
-
     /// `true` iff the constraint is satisfied at `point`.
     pub fn is_satisfied_by(&self, point: &[Rational]) -> bool {
-        self.relation.holds(&self.lhs_value(point), &self.constant)
+        self.relation.holds(&dot(&self.coeffs, point), &self.constant)
     }
 }
 
@@ -131,42 +121,6 @@ pub fn dot(a: &[Rational], b: &[Rational]) -> Rational {
     for (x, y) in a.iter().zip(b) {
         if !x.is_zero() && !y.is_zero() {
             acc += &(x * y);
-        }
-    }
-    acc
-}
-
-/// Dot product of an integer vector and a rational vector.
-pub fn dot_int(a: &[Integer], b: &[Rational]) -> Rational {
-    debug_assert_eq!(a.len(), b.len(), "dot product dimension mismatch");
-    let mut acc = Rational::zero();
-    for (x, y) in a.iter().zip(b) {
-        if !x.is_zero() && !y.is_zero() {
-            acc += &(&Rational::from(x.clone()) * y);
-        }
-    }
-    acc
-}
-
-/// Dot product of two integer vectors.
-pub fn dot_int_int(a: &[Integer], b: &[Integer]) -> Integer {
-    debug_assert_eq!(a.len(), b.len(), "dot product dimension mismatch");
-    let mut acc = Integer::zero();
-    for (x, y) in a.iter().zip(b) {
-        if !x.is_zero() && !y.is_zero() {
-            acc += &(x * y);
-        }
-    }
-    acc
-}
-
-/// Dot product of an integer vector and a natural vector.
-pub fn dot_int_nat(a: &[Integer], b: &[Natural]) -> Integer {
-    debug_assert_eq!(a.len(), b.len(), "dot product dimension mismatch");
-    let mut acc = Integer::zero();
-    for (x, y) in a.iter().zip(b) {
-        if !x.is_zero() && !y.is_zero() {
-            acc += &(x * &Integer::from(y.clone()));
         }
     }
     acc
@@ -215,7 +169,7 @@ impl LinearSystem {
     }
 
     /// Adds the constraint `x_i ≥ 0` for every variable.
-    pub fn push_nonnegativity(&mut self) {
+    pub(crate) fn push_nonnegativity(&mut self) {
         for i in 0..self.dimension {
             let mut coeffs = vec![Rational::zero(); self.dimension];
             coeffs[i] = Rational::one();
@@ -255,10 +209,6 @@ mod tests {
         assert!(Relation::Ge.holds(&r(3, 2), &r(1, 2)));
         assert!(Relation::Gt.holds(&r(3, 2), &r(1, 2)));
         assert!(Relation::Eq.holds(&r(2, 4), &r(1, 2)));
-        assert!(Relation::Lt.is_strict() && Relation::Gt.is_strict());
-        assert!(
-            !Relation::Le.is_strict() && !Relation::Ge.is_strict() && !Relation::Eq.is_strict()
-        );
     }
 
     #[test]
@@ -267,27 +217,16 @@ mod tests {
         let c = Constraint::from_i64s(&[2, -3], Relation::Ge, 1);
         assert!(c.is_satisfied_by(&[r(2, 1), r(1, 1)]));
         assert!(!c.is_satisfied_by(&[r(1, 1), r(1, 1)]));
-        assert_eq!(c.lhs_value(&[r(1, 2), r(1, 3)]), r(0, 1));
+        // At (1/2, 1/3) the left-hand side is exactly 0.
+        assert!(!c.is_satisfied_by(&[r(1, 2), r(1, 3)]));
+        assert!(
+            Constraint::from_i64s(&[2, -3], Relation::Eq, 0).is_satisfied_by(&[r(1, 2), r(1, 3)])
+        );
     }
 
     #[test]
     fn dot_products() {
         assert_eq!(dot(&[r(1, 2), r(2, 1)], &[r(4, 1), r(3, 1)]), r(8, 1));
-        assert_eq!(dot_int(&[Integer::from(2), Integer::from(-1)], &[r(1, 2), r(3, 1)]), r(-2, 1));
-        assert_eq!(
-            dot_int_int(
-                &[Integer::from(2), Integer::from(-1)],
-                &[Integer::from(5), Integer::from(3)]
-            ),
-            Integer::from(7)
-        );
-        assert_eq!(
-            dot_int_nat(
-                &[Integer::from(-2), Integer::from(3)],
-                &[Natural::from(5u64), Natural::from(4u64)]
-            ),
-            Integer::from(2)
-        );
     }
 
     #[test]

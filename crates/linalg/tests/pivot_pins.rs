@@ -7,13 +7,13 @@
 //! (explicit artificial columns, per-row denominators, reduced costs
 //! rebuilt every pivot); any storage or pricing change to the kernel must
 //! reproduce them literally. The Gordan-dual pins of
-//! `StrictHomogeneousSystem::rational_solution` were recorded when the
+//! `StrictHomogeneousSystem::natural_solution` were recorded when the
 //! strict systems moved onto the dual.
 //!
 //! The registry counters are process-global, so this binary holds a single
 //! test: no other kernel run can interleave with a counter delta.
 
-use dioph_arith::{Integer, Rational};
+use dioph_arith::{Integer, Natural, Rational};
 use dioph_linalg::{bareiss, FeasibilityEngine, IntRow, LinalgError, StrictHomogeneousSystem};
 use dioph_obs::registry::LP_BAREISS_PIVOTS;
 
@@ -40,8 +40,8 @@ fn rationals(components: &[&str]) -> Vec<Rational> {
 
 /// A pinned star: containee multiplicities and rays, then the witness and
 /// pivots of the primal kernel on `A·x ≥ 1` and of the Gordan dual that
-/// `rational_solution` runs.
-type Pin = ([i64; 5], [i64; 3], Option<Vec<Rational>>, u64, Option<Vec<Rational>>, u64);
+/// `natural_solution` runs.
+type Pin = ([i64; 5], [i64; 3], Option<Vec<Rational>>, u64, Option<Vec<Natural>>, u64);
 
 /// Runs `solve` and returns its result with the pivots it took.
 fn counted<T>(solve: impl FnOnce() -> T) -> (T, u64) {
@@ -53,7 +53,7 @@ fn counted<T>(solve: impl FnOnce() -> T) -> (T, u64) {
 #[test]
 fn witnesses_and_pivot_counts_are_pinned() {
     let fifth = rationals(&["1/5"; 5]);
-    let first_three = rationals(&["1", "1", "1", "0", "0"]);
+    let first_three: Vec<Natural> = [1u64, 1, 1, 0, 0].map(Natural::from).to_vec();
     // On `A·x ≥ 1` the two refuted systems make Bland re-enter an
     // artificial column (41 and 6 times on the full-width tableau) after
     // its row left the basis. The dual has 6 rows and one artificial.
@@ -71,7 +71,7 @@ fn witnesses_and_pivot_counts_are_pinned() {
         assert_eq!(outcome.witness().map(<[Rational]>::to_vec), primal, "star {m:?} vs {rays:?}");
         assert_eq!(taken, primal_pivots, "primal pivots of star {m:?} against {rays:?}");
         let (solution, taken) =
-            counted(|| sys.rational_solution(FeasibilityEngine::Simplex).unwrap());
+            counted(|| sys.natural_solution(FeasibilityEngine::Simplex).unwrap());
         assert_eq!(solution, dual, "dual witness of star {m:?} against {rays:?}");
         assert_eq!(taken, dual_pivots, "dual pivots of star {m:?} against {rays:?}");
     }

@@ -108,14 +108,14 @@ proptest! {
     }
 
     /// Three-way differential: the verdict of the Gordan dual that
-    /// `rational_solution` runs equals both the primal kernel's on
+    /// `natural_solution` runs equals both the primal kernel's on
     /// `A·x ≥ 1` and the Fourier–Motzkin oracle's, and its witness is
     /// exact — it satisfies the strict system itself, not a rounded copy.
     /// An infeasible system carries a Gordan certificate `λ` with
     /// `Σ_h λ_h·A[h] ≤ 0`, and a feasible one carries none.
     #[test]
-    fn simplex_rational_witness_is_exact(sys in shs_strategy()) {
-        let witness = sys.rational_solution(FeasibilityEngine::Simplex).unwrap();
+    fn simplex_witness_is_exact(sys in shs_strategy()) {
+        let witness = sys.natural_solution(FeasibilityEngine::Simplex).unwrap();
         prop_assert_eq!(
             witness.is_some(),
             sys.is_feasible(FeasibilityEngine::FourierMotzkin).unwrap(),
@@ -129,7 +129,7 @@ proptest! {
             "verdict diverged from the primal kernel on {:?}", sys
         );
         if let Some(w) = &witness {
-            prop_assert!(sys.to_linear_system().is_satisfied_by(w), "{:?} misses {:?}", w, sys);
+            prop_assert!(sys.is_satisfied_by_naturals(w), "{:?} misses {:?}", w, sys);
         }
         let lambda = sys.dual_weights().unwrap();
         prop_assert_eq!(lambda.is_some(), witness.is_none(), "certificate on {:?}", sys);
@@ -171,9 +171,9 @@ proptest! {
         prop_assert_eq!(sparse.rows(), sys.rows());
         let engine = FeasibilityEngine::Simplex;
         let mut scratch = LpScratch::new();
-        warm_up.rational_solution_in(engine, &mut scratch).unwrap();
-        let warmed = sparse.rational_solution_in(engine, &mut scratch).unwrap();
-        prop_assert_eq!(warmed, sys.rational_solution(engine).unwrap(), "diverged on {:?}", sys);
+        warm_up.natural_solution_in(engine, &mut scratch).unwrap();
+        let warmed = sparse.natural_solution_in(engine, &mut scratch).unwrap();
+        prop_assert_eq!(warmed, sys.natural_solution(engine).unwrap(), "diverged on {:?}", sys);
     }
 
     /// Exactness holds where cross-multiplied pivot values no longer fit the

@@ -1,9 +1,10 @@
 //! The process-wide counter/gauge registry.
 //!
 //! Every instrumented event in the workspace increments one of the static
-//! [`Counter`]s defined here, under a stable dotted name (`arith.small_hits`,
-//! `lp.bareiss.pivots`, …). The registry is a **static table**: no runtime
-//! registration, no locks on the hot path, one relaxed atomic add per event.
+//! [`Counter`]s defined here, under a stable dotted name
+//! (`arith.int_small_hits`, `lp.bareiss.pivots`, …). The registry is a
+//! **static table**: no runtime registration, no locks on the hot path, one
+//! relaxed atomic add per event.
 //! [`snapshot`] reads every cell at once; [`MetricsSnapshot::since`] turns
 //! two snapshots into a delta, which is how the CLI reports per-command (and
 //! `bench` per-run) numbers instead of process-lifetime totals.
@@ -150,13 +151,6 @@ pub static ALLOC_SCRATCH_SPILLS: Counter = Counter::new(
     C,
     "pooled-buffer requests the scratch pools could not serve from recycled capacity",
 );
-/// Rational ops that fell back to the limb representation.
-pub static ARITH_BIG_FALLBACKS: Counter = Counter::new(
-    "arith.big_fallbacks",
-    Vol,
-    C,
-    "rational operations that fell back to the limb representation",
-);
 /// Integer kernel ops that fell back to the limb representation.
 pub static ARITH_INT_BIG_FALLBACKS: Counter = Counter::new(
     "arith.int_big_fallbacks",
@@ -171,13 +165,6 @@ pub static ARITH_INT_SMALL_HITS: Counter = Counter::new(
     C,
     "integer kernel operations (exact division, gcd) served by the machine-word fast path; \
      the LP kernel's row normalisation counts once per row",
-);
-/// Rational ops served by the machine-word fast path.
-pub static ARITH_SMALL_HITS: Counter = Counter::new(
-    "arith.small_hits",
-    Vol,
-    C,
-    "rational operations served by the machine-word fast path",
 );
 /// Batch compilation-cache hits.
 pub static CACHE_COMPILED_PAIR_HITS: Counter = Counter::new(
@@ -325,17 +312,15 @@ pub static PARSE_QUERIES: Counter =
 /// Every registry cell, sorted by name (the sort is pinned by a test, so
 /// snapshot iteration — and therefore every rendered counter block — is in
 /// stable name order).
-static COUNTERS: [&Counter; 32] = [
+static COUNTERS: [&Counter; 30] = [
     &ALLOC_HEAP_ALLOCS,
     &ALLOC_MONOMIAL_INLINE,
     &ALLOC_MONOMIAL_SPILLS,
     &ALLOC_POOL_ROWS_HWM,
     &ALLOC_SCRATCH_REUSES,
     &ALLOC_SCRATCH_SPILLS,
-    &ARITH_BIG_FALLBACKS,
     &ARITH_INT_BIG_FALLBACKS,
     &ARITH_INT_SMALL_HITS,
-    &ARITH_SMALL_HITS,
     &CACHE_COMPILED_PAIR_HITS,
     &CACHE_COMPILED_PAIR_MISSES,
     &CACHE_PROBE_COMPILED,

@@ -59,7 +59,7 @@ pub fn enable() {
 }
 
 /// `true` while spans are being recorded into the trace.
-pub fn is_enabled() -> bool {
+fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

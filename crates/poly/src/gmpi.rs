@@ -10,7 +10,7 @@
 
 use core::fmt;
 
-use dioph_arith::{Natural, Rational};
+use dioph_arith::Rational;
 
 /// A one-dimensional GMPI `Σ aᵢ·u^{eᵢ} < u^{e}` with rational coefficients
 /// `aᵢ ≥ 1` and non-negative rational exponents.
@@ -61,52 +61,6 @@ impl OneDimGmpi {
         }
         self.polynomial_degree() < self.monomial_exponent
     }
-
-    /// A solution bound in the spirit of the constructive half of Lemma 4.1:
-    /// when solvable, every natural `u` with
-    /// `u^(gap) > Σ aᵢ` (where `gap = deg(M) − deg(P) > 0`) is a solution.
-    /// This returns one such `u` (not necessarily the smallest), or `None`
-    /// when the GMPI is unsolvable.
-    ///
-    /// Correctness: for `u ≥ 1`, each term satisfies
-    /// `aᵢ·u^{eᵢ} ≤ aᵢ·u^{deg(P)}`, so
-    /// `P(u) ≤ (Σ aᵢ)·u^{deg(P)} < u^{gap}·u^{deg(P)} ≤ u^{deg(M)} = M(u)`.
-    pub fn witness_bound(&self) -> Option<Natural> {
-        if !self.is_solvable() {
-            return None;
-        }
-        if self.terms.is_empty() {
-            return Some(Natural::one());
-        }
-        let gap = &self.monomial_exponent - &self.polynomial_degree();
-        debug_assert!(gap.is_positive());
-        // Choose u = ceil((Σ aᵢ + 1)^{1/gap}); since computing rational roots
-        // exactly is unnecessary, we simply search for the least natural u
-        // with u^ceil? — instead use the conservative bound
-        // u = ceil(Σ aᵢ / gap) + 2, and then verify by the degree argument:
-        // we need u^gap > Σ aᵢ, i.e. gap·log(u) > log(Σ aᵢ); the search below
-        // finds the least u with u^⌈1/gap⌉-free check via exact rationals.
-        let coeff_sum: Rational = self.terms.iter().fold(Rational::zero(), |acc, (c, _)| &acc + c);
-        // Find the least natural u ≥ 2 with u^gap > coeff_sum, checked exactly
-        // by comparing u^{gap.numer} > coeff_sum^{gap.denom} (both natural powers).
-        let gap_num = gap
-            .numer()
-            .to_natural()
-            .expect("gap is positive")
-            .to_u64()
-            .expect("exponent numerator fits u64");
-        let gap_den = gap.denom().to_u64().expect("exponent denominator fits u64");
-        let mut u = Natural::from(2u64);
-        loop {
-            let lhs = u.pow(gap_num);
-            // coeff_sum^gap_den as an exact rational power.
-            let rhs = coeff_sum.pow(gap_den);
-            if Rational::from(lhs) > rhs {
-                return Some(u);
-            }
-            u = &u + &Natural::one();
-        }
-    }
 }
 
 impl fmt::Display for OneDimGmpi {
@@ -138,14 +92,10 @@ mod tests {
         // u^4 + u^2 < u^4: unsolvable.
         let bad = OneDimGmpi::new(vec![(r(1, 1), r(4, 1)), (r(1, 1), r(2, 1))], r(4, 1));
         assert!(!bad.is_solvable());
-        assert_eq!(bad.witness_bound(), None);
 
         // 2u^4 + 1 < u^5: solvable.
         let good = OneDimGmpi::new(vec![(r(2, 1), r(4, 1)), (r(1, 1), r(0, 1))], r(5, 1));
         assert!(good.is_solvable());
-        let w = good.witness_bound().unwrap();
-        // The bound is valid: w^1 > 3.
-        assert!(w > Natural::from(3u64));
     }
 
     #[test]
@@ -153,7 +103,6 @@ mod tests {
         // u^(7/2) < u^(15/4): solvable (degree 7/2 < 15/4).
         let g = OneDimGmpi::new(vec![(r(1, 1), r(7, 2))], r(15, 4));
         assert!(g.is_solvable());
-        assert!(g.witness_bound().is_some());
 
         // u^(15/4) < u^(7/2): unsolvable.
         let g2 = OneDimGmpi::new(vec![(r(1, 1), r(15, 4))], r(7, 2));
@@ -164,7 +113,54 @@ mod tests {
     fn empty_polynomial_is_solvable() {
         let g = OneDimGmpi::new(vec![], r(3, 2));
         assert!(g.is_solvable());
-        assert_eq!(g.witness_bound(), Some(Natural::one()));
+    }
+
+    #[test]
+    fn verdicts_are_checked_by_exact_evaluation() {
+        // Every exponent below is a multiple of 1/4, so at a perfect fourth
+        // power u = t^4 each power is exact: u^(a/4) = t^a.
+        let quarters = |e: &Rational| {
+            let q = e * &r(4, 1);
+            assert!(q.is_integer(), "{e} is not a multiple of 1/4");
+            q.numer().to_i64().and_then(|q| u64::try_from(q).ok()).expect("small exponent")
+        };
+        let sides = |g: &OneDimGmpi, t: u64| {
+            let t = Rational::from(t);
+            let p = g
+                .terms()
+                .iter()
+                .fold(Rational::zero(), |acc, (c, e)| &acc + &(c * &t.pow(quarters(e))));
+            (p, t.pow(quarters(g.monomial_degree())))
+        };
+        let cases = [
+            OneDimGmpi::new(vec![(r(1, 1), r(4, 1)), (r(1, 1), r(2, 1))], r(4, 1)),
+            OneDimGmpi::new(vec![(r(2, 1), r(4, 1)), (r(1, 1), r(0, 1))], r(5, 1)),
+            OneDimGmpi::new(vec![(r(1, 1), r(7, 2))], r(15, 4)),
+            OneDimGmpi::new(vec![(r(1, 1), r(15, 4))], r(7, 2)),
+            OneDimGmpi::new(vec![(r(5, 2), r(1, 2)), (r(3, 1), r(3, 4))], r(1, 1)),
+            OneDimGmpi::new(vec![(r(7, 3), r(9, 4))], r(9, 4)),
+            OneDimGmpi::new(vec![], r(3, 2)),
+        ];
+        let mut solvable = 0;
+        for g in &cases {
+            if g.is_solvable() {
+                // The constructive half of Lemma 4.1: for t > Σ aᵢ,
+                // P(t^4) ≤ (Σ aᵢ)·t^(4·deg P) < t^(4·deg P + 1) ≤ M(t^4).
+                let sum = g.terms().iter().fold(Rational::zero(), |acc, (c, _)| &acc + c);
+                let t = sum.ceil().to_i64().and_then(|s| u64::try_from(s).ok()).unwrap() + 1;
+                let (p, m) = sides(g, t);
+                assert!(p < m, "{g} fails at u = {t}^4");
+                solvable += 1;
+            } else {
+                // deg P ≥ deg M with every coefficient ≥ 1: P(u) ≥ M(u) for
+                // every u ≥ 1.
+                for t in 1..=12 {
+                    let (p, m) = sides(g, t);
+                    assert!(p >= m, "{g} is solved by u = {t}^4");
+                }
+            }
+        }
+        assert_eq!(solvable, 4);
     }
 
     #[test]

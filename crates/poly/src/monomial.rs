@@ -8,7 +8,7 @@
 use core::fmt;
 use core::hash::{Hash, Hasher};
 
-use dioph_arith::{Integer, Natural};
+use dioph_arith::Natural;
 use dioph_obs::registry;
 
 /// Exponent vectors up to this dimension are stored inline on the stack.
@@ -169,14 +169,6 @@ impl Monomial {
     /// The exponent vector.
     pub fn exponents(&self) -> &[u64] {
         self.exponents.as_slice()
-    }
-
-    /// The exponents as signed integers, in unknown order (used when
-    /// building the linear system of Theorem 4.1). An iterator rather than a
-    /// fresh `Vec<Integer>`: callers staging rows write the values straight
-    /// into their own (recycled) storage.
-    pub fn integer_exponents(&self) -> impl Iterator<Item = Integer> + '_ {
-        self.exponents().iter().map(|&e| Integer::from(e))
     }
 
     /// The exponent of unknown `i`.
@@ -418,13 +410,6 @@ mod tests {
         monos.sort();
         let resorted: Vec<Vec<u64>> = monos.iter().map(|m| m.exponents().to_vec()).collect();
         assert_eq!(resorted, raw);
-    }
-
-    #[test]
-    fn integer_exponents_iterate_in_unknown_order() {
-        let m = Monomial::new(vec![2, 0, 3]);
-        let ints: Vec<Integer> = m.integer_exponents().collect();
-        assert_eq!(ints, vec![Integer::from(2u64), Integer::from(0u64), Integer::from(3u64)]);
     }
 
     #[test]

@@ -88,11 +88,11 @@ impl Mpi {
     }
 
     /// [`Self::to_strict_system`] into a caller-provided scratch: the system
-    /// lives in `scratch` (readable afterwards via [`MpiScratch::system`]),
-    /// its rows built from — and, at the next call, torn back down into —
-    /// the scratch's recycled entry pool. The produced system is equal to
-    /// the one [`Self::to_strict_system`] returns; reuse is capacity-only.
-    pub fn to_strict_system_in<'s>(
+    /// lives in `scratch`, its rows built from — and, at the next call, torn
+    /// back down into — the scratch's recycled entry pool. The produced
+    /// system is equal to the one [`Self::to_strict_system`] returns; reuse
+    /// is capacity-only.
+    pub(crate) fn to_strict_system_in<'s>(
         &self,
         scratch: &'s mut MpiScratch,
     ) -> &'s StrictHomogeneousSystem {
@@ -129,26 +129,6 @@ impl Mpi {
             return Ok(true);
         }
         self.to_strict_system().is_feasible(engine)
-    }
-
-    /// [`Self::has_diophantine_solution`] through a caller-provided scratch:
-    /// both the Theorem 4.1 system and the LP kernel's working set draw on
-    /// `scratch`, so a warmed scratch decides an MPI with no fresh heap
-    /// allocation. Verdicts are bit-identical to the scratch-free route.
-    ///
-    /// # Errors
-    /// As [`Self::has_diophantine_solution`].
-    pub fn has_diophantine_solution_in(
-        &self,
-        engine: FeasibilityEngine,
-        scratch: &mut MpiScratch,
-    ) -> Result<bool, LinalgError> {
-        if self.polynomial.is_zero() {
-            return Ok(true);
-        }
-        self.to_strict_system_in(scratch);
-        let MpiScratch { sys, lp } = scratch;
-        sys.is_feasible_in(engine, lp)
     }
 
     /// Finds an explicit Diophantine solution, if one exists.
@@ -190,10 +170,11 @@ impl Mpi {
         Ok(Some(point))
     }
 
-    /// [`Self::diophantine_solution`] through a caller-provided scratch (see
-    /// [`Self::has_diophantine_solution_in`]); the returned witness is the
-    /// only allocation a warmed scratch leaves behind, and it is
-    /// bit-identical to the scratch-free route's.
+    /// [`Self::diophantine_solution`] through a caller-provided scratch: both
+    /// the Theorem 4.1 system and the LP kernel's working set draw on
+    /// `scratch`, so the returned witness is the only allocation a warmed
+    /// scratch leaves behind, and it is bit-identical to the scratch-free
+    /// route's.
     ///
     /// # Errors
     /// As [`Self::diophantine_solution`].
@@ -322,7 +303,7 @@ impl OneDimMpi {
     }
 
     /// Evaluates the polynomial side at `u`.
-    pub fn evaluate_polynomial(&self, u: &Natural) -> Natural {
+    fn evaluate_polynomial(&self, u: &Natural) -> Natural {
         let mut acc = Natural::zero();
         for (c, e) in &self.terms {
             if c.is_zero() {
@@ -335,7 +316,7 @@ impl OneDimMpi {
     }
 
     /// Evaluates the monomial side at `u`.
-    pub fn evaluate_monomial(&self, u: &Natural) -> Natural {
+    fn evaluate_monomial(&self, u: &Natural) -> Natural {
         u.pow(self.monomial_exponent.to_u64().expect("1-MPI exponent should fit in u64"))
     }
 
@@ -526,8 +507,8 @@ mod tests {
 
     #[test]
     fn scratch_route_matches_fresh_route() {
-        // The `_in` entry points must produce the identical system, verdict
-        // and witness as their scratch-free twins — warmed or cold.
+        // The `_in` entry points must produce the identical system and
+        // witness as their scratch-free twins — warmed or cold.
         let mut scratch = MpiScratch::new();
         let cases = [
             paper_mpi(),
@@ -544,10 +525,6 @@ mod tests {
         // Reuse one scratch across all cases: later cases run warmed.
         for mpi in &cases {
             assert_eq!(&mpi.to_strict_system(), mpi.to_strict_system_in(&mut scratch));
-            assert_eq!(
-                mpi.has_diophantine_solution(engine).unwrap(),
-                mpi.has_diophantine_solution_in(engine, &mut scratch).unwrap(),
-            );
             assert_eq!(
                 mpi.diophantine_solution(engine).unwrap(),
                 mpi.diophantine_solution_in(engine, &mut scratch).unwrap(),
@@ -578,6 +555,25 @@ mod tests {
         assert_eq!(good.smallest_solution(), Some(nat(3)));
         assert!(good.is_solution(&nat(3)));
         assert!(!good.is_solution(&nat(2)));
+    }
+
+    #[test]
+    fn one_dim_sides_evaluate_exactly() {
+        // 2u^4 + 1 < u^5 at its smallest solution u = 3 (163 < 243) and
+        // just below it (33 vs 32).
+        let good = OneDimMpi::new(vec![(nat(2), nat(4)), (nat(1), nat(0))], nat(5));
+        assert_eq!(good.evaluate_polynomial(&nat(3)), nat(163));
+        assert_eq!(good.evaluate_monomial(&nat(3)), nat(243));
+        assert_eq!(good.evaluate_polynomial(&nat(2)), nat(33));
+        assert_eq!(good.evaluate_monomial(&nat(2)), nat(32));
+        // 0^0 = 1: the constant term survives at u = 0.
+        assert_eq!(good.evaluate_polynomial(&nat(0)), nat(1));
+        assert_eq!(good.evaluate_monomial(&nat(0)), nat(0));
+        // Zero coefficients contribute nothing; values past u64 stay exact.
+        let wide = OneDimMpi::new(vec![(nat(0), nat(9)), (nat(3), nat(2))], nat(3));
+        let u = nat(1 << 40);
+        assert_eq!(wide.evaluate_polynomial(&u), &nat(3) * &(&Natural::one() << 80));
+        assert_eq!(wide.evaluate_monomial(&u), &Natural::one() << 120);
     }
 
     #[test]

@@ -70,7 +70,7 @@ impl Polynomial {
     ///
     /// # Panics
     /// Panics if the monomial dimension differs from the polynomial's.
-    pub fn add_term(&mut self, coeff: Natural, mono: Monomial) {
+    fn add_term(&mut self, coeff: Natural, mono: Monomial) {
         assert_eq!(mono.dimension(), self.dimension, "monomial dimension mismatch");
         if coeff.is_zero() {
             return;

@@ -36,12 +36,4 @@ impl MpiScratch {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// The system built by the last [`to_strict_system_in`] call (for
-    /// callers that inspect the system after deciding it).
-    ///
-    /// [`to_strict_system_in`]: crate::Mpi::to_strict_system_in
-    pub fn system(&self) -> &StrictHomogeneousSystem {
-        &self.sys
-    }
 }

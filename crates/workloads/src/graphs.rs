@@ -45,11 +45,6 @@ impl Graph {
         self.edges.insert((u.min(v), u.max(v)));
     }
 
-    /// `true` iff `{u, v}` is an edge.
-    pub fn has_edge(&self, u: usize, v: usize) -> bool {
-        self.edges.contains(&(u.min(v), u.max(v)))
-    }
-
     /// The complete graph `K_n`.
     pub fn complete(n: usize) -> Self {
         let mut g = Graph::new(n);
@@ -102,7 +97,7 @@ impl Graph {
     }
 
     /// Finds a proper 3-coloring if one exists (colors are `0..3`).
-    pub fn find_three_coloring(&self) -> Option<Vec<u8>> {
+    fn find_three_coloring(&self) -> Option<Vec<u8>> {
         let mut colors = vec![u8::MAX; self.vertices];
         if self.color_from(0, &mut colors) {
             Some(colors)
@@ -143,11 +138,6 @@ impl Graph {
         false
     }
 
-    /// Verifies that a coloring is proper (adjacent vertices differ).
-    pub fn is_proper_coloring(&self, colors: &[u8]) -> bool {
-        colors.len() == self.vertices && self.edges.iter().all(|&(u, v)| colors[u] != colors[v])
-    }
-
     fn neighbors(&self, vertex: usize) -> impl Iterator<Item = usize> + '_ {
         self.edges.iter().filter_map(move |&(u, v)| {
             if u == vertex {
@@ -167,6 +157,26 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The coloring oracle: `colors` is proper iff adjacent vertices differ.
+    fn is_proper_coloring(g: &Graph, colors: &[u8]) -> bool {
+        colors.len() == g.vertex_count() && g.edges().all(|(u, v)| colors[u] != colors[v])
+    }
+
+    #[test]
+    fn complete_graphs_and_cycles_have_their_edges() {
+        for n in 3..=7 {
+            let k = Graph::complete(n);
+            assert_eq!(k.edge_count(), n * (n - 1) / 2, "K{n}");
+            assert!(k.edges().all(|(u, v)| u < v && v < n), "K{n}");
+            let c = Graph::cycle(n);
+            assert_eq!(c.edge_count(), n, "C{n}");
+            // Every vertex of a cycle has degree two.
+            for v in 0..n {
+                assert_eq!(c.edges().filter(|&(a, b)| a == v || b == v).count(), 2, "C{n}");
+            }
+        }
+    }
+
     #[test]
     fn construction_and_queries() {
         let mut g = Graph::new(4);
@@ -175,8 +185,7 @@ mod tests {
         g.add_edge(2, 3);
         assert_eq!(g.vertex_count(), 4);
         assert_eq!(g.edge_count(), 2);
-        assert!(g.has_edge(1, 0));
-        assert!(!g.has_edge(0, 2));
+        assert_eq!(g.edges().collect::<Vec<_>>(), [(0, 1), (2, 3)]);
     }
 
     #[test]
@@ -203,7 +212,7 @@ mod tests {
     fn colorings_are_proper() {
         for g in [Graph::cycle(7), Graph::complete(3), Graph::complete_bipartite(2, 5)] {
             let coloring = g.find_three_coloring().expect("colorable");
-            assert!(g.is_proper_coloring(&coloring));
+            assert!(is_proper_coloring(&g, &coloring));
             assert!(coloring.iter().all(|&c| c < 3));
         }
         assert!(Graph::complete(4).find_three_coloring().is_none());
@@ -236,8 +245,8 @@ mod tests {
     #[test]
     fn improper_coloring_detected() {
         let g = Graph::complete(3);
-        assert!(!g.is_proper_coloring(&[0, 0, 1]));
-        assert!(g.is_proper_coloring(&[0, 1, 2]));
-        assert!(!g.is_proper_coloring(&[0, 1]));
+        assert!(!is_proper_coloring(&g, &[0, 0, 1]));
+        assert!(is_proper_coloring(&g, &[0, 1, 2]));
+        assert!(!is_proper_coloring(&g, &[0, 1]));
     }
 }

@@ -15,17 +15,13 @@
 //! * [`refutation`] — the sound-but-incomplete random-bag refutation baseline
 //!   (experiment E8);
 //! * [`suite`] — named, seed-reproducible workload suites (the generator
-//!   plumbing behind `diophantus gen` and the E4 sweep shapes);
-//! * [`polynomials`] — the Ioannidis–Ramakrishnan-style encoding of
-//!   polynomials as unions of conjunctive queries over star bags
-//!   (experiments E2/E3 and the `diophantine_lab` example).
+//!   plumbing behind `diophantus gen` and the E4 sweep shapes).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graphs;
 pub mod joins;
-pub mod polynomials;
 pub mod random;
 pub mod refutation;
 pub mod suite;

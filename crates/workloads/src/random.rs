@@ -50,16 +50,6 @@ impl Default for QueryShape {
     }
 }
 
-impl QueryShape {
-    /// A shape with `k` binary relations and otherwise default parameters.
-    pub fn with_binary_relations(k: usize) -> Self {
-        QueryShape {
-            relations: (0..k).map(|i| (format!("R{i}"), 2)).collect(),
-            ..QueryShape::default()
-        }
-    }
-}
-
 fn head_var(i: usize) -> Term {
     Term::var(format!("x{i}"))
 }
@@ -201,6 +191,27 @@ mod tests {
     use rand::SeedableRng;
 
     #[test]
+    fn shape_with_binary_relations() {
+        // A shape over five binary relations only: both generators draw
+        // every atom from them, at arity 2.
+        let shape = QueryShape {
+            relations: (0..5).map(|i| (format!("R{i}"), 2)).collect(),
+            ..QueryShape::default()
+        };
+        let mut rng = StdRng::seed_from_u64(3);
+        for _ in 0..10 {
+            for q in
+                [random_projection_free_cq("q", &shape, &mut rng), random_cq("q", &shape, &mut rng)]
+            {
+                assert!(q
+                    .body_atoms()
+                    .all(|a| a.arity() == 2
+                        && shape.relations.iter().any(|(r, _)| r == a.relation())));
+            }
+        }
+    }
+
+    #[test]
     fn projection_free_generator_respects_shape() {
         let mut rng = StdRng::seed_from_u64(1);
         let shape = QueryShape::default();
@@ -210,6 +221,10 @@ mod tests {
             assert!(q.is_safe(), "{q}");
             assert!(q.total_atom_count() >= shape.atom_occurrences as u64);
             assert_eq!(q.arity(), shape.head_variables);
+            assert!(q.body_atoms().all(|a| shape
+                .relations
+                .iter()
+                .any(|(r, k)| r == a.relation() && *k == a.arity())));
         }
     }
 
@@ -255,15 +270,5 @@ mod tests {
             }
         }
         assert!(broken > 0, "inflating multiplicities should break containment at least once");
-    }
-
-    #[test]
-    fn shape_with_binary_relations() {
-        let shape = QueryShape::with_binary_relations(5);
-        assert_eq!(shape.relations.len(), 5);
-        assert!(shape.relations.iter().all(|(_, a)| *a == 2));
-        let mut rng = StdRng::seed_from_u64(3);
-        let q = random_projection_free_cq("q", &shape, &mut rng);
-        assert!(q.body_atoms().all(|a| a.relation().starts_with('R')));
     }
 }

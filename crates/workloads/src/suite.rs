@@ -108,7 +108,7 @@ pub fn path_self_containment(length: usize) -> (ConjunctiveQuery, ConjunctiveQue
 /// `k` existential edge atoms `E(x, z_i)`, which admits `2^k` containment
 /// mappings (each `z_i` maps to `'a'` or `'b'`). This isolates the
 /// exponential dependence on the containing query that Theorem 5.2 allows.
-pub fn exponential_mapping_instance(k: usize) -> (ConjunctiveQuery, ConjunctiveQuery) {
+fn exponential_mapping_instance(k: usize) -> (ConjunctiveQuery, ConjunctiveQuery) {
     let x = Term::var("x");
     let containee = ConjunctiveQuery::from_atom_list(
         "q_containee",
@@ -135,7 +135,7 @@ fn random_shape(atoms: usize) -> QueryShape {
 /// the single definition behind [`WorkloadKind::Contained`], so
 /// `diophantus gen contained` and the tests that decide the family cannot
 /// drift apart.
-pub fn contained_shape(atoms: usize) -> QueryShape {
+fn contained_shape(atoms: usize) -> QueryShape {
     QueryShape {
         relations: vec![("R".to_string(), 2), ("S".to_string(), 2)],
         atom_occurrences: atoms,

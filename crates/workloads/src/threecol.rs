@@ -31,7 +31,7 @@ fn vertex_variable(v: usize) -> Term {
 
 /// The ground Boolean "triangle" query `q_T`: all six ordered pairs of
 /// distinct colors.
-pub fn triangle_query() -> ConjunctiveQuery {
+fn triangle_query() -> ConjunctiveQuery {
     let mut atoms = Vec::new();
     for i in 0..3 {
         for j in 0..3 {
@@ -45,7 +45,7 @@ pub fn triangle_query() -> ConjunctiveQuery {
 
 /// The Boolean query `q_G` describing the graph: one existential variable per
 /// vertex and both orientations of every edge.
-pub fn graph_query(graph: &Graph) -> ConjunctiveQuery {
+fn graph_query(graph: &Graph) -> ConjunctiveQuery {
     let mut atoms = Vec::new();
     for (u, v) in graph.edges() {
         atoms.push(Atom::new(EDGE_RELATION, vec![vertex_variable(u), vertex_variable(v)]));
@@ -57,7 +57,7 @@ pub fn graph_query(graph: &Graph) -> ConjunctiveQuery {
 /// The conjunction `q_T ∧ q_G` (bodies joined; bag multiplicities add for
 /// shared atoms, though the two bodies are disjoint here since one is ground
 /// over color constants and the other uses vertex variables).
-pub fn triangle_and_graph_query(graph: &Graph) -> ConjunctiveQuery {
+fn triangle_and_graph_query(graph: &Graph) -> ConjunctiveQuery {
     let triangle = triangle_query();
     let graph_q = graph_query(graph);
     let body = triangle

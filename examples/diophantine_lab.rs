@@ -1,14 +1,11 @@
 //! Direct use of the Diophantine layer: Monomial–Polynomial Inequalities,
-//! the Theorem 4.1 reduction, both feasibility engines, and the encoding of
-//! polynomials as unions of conjunctive queries.
+//! the Theorem 4.1 reduction, both feasibility engines, and Lemma 4.1 in one
+//! dimension.
 //!
 //! Run with `cargo run --example diophantine_lab`.
 
 use diophantus::linalg::{FeasibilityEngine, StrictHomogeneousSystem};
 use diophantus::poly::{Monomial, Mpi, OneDimGmpi, OneDimMpi, Polynomial};
-use diophantus::workloads::polynomials::{
-    assignment_to_star_bag, evaluate_ucq_on_star_bag, polynomial_to_ucq,
-};
 use diophantus::{Natural, Rational};
 
 fn nat(v: u64) -> Natural {
@@ -27,7 +24,7 @@ fn main() {
             (nat(1), Monomial::new(vec![3, 0, 4])),
         ],
     );
-    let mpi = Mpi::new(polynomial.clone(), Monomial::new(vec![2, 1, 3]));
+    let mpi = Mpi::new(polynomial, Monomial::new(vec![2, 1, 3]));
     println!("MPI: {mpi}");
 
     let system = mpi.to_strict_system();
@@ -92,30 +89,7 @@ fn main() {
     println!("  solvable per the degree criterion? {}", gmpi.is_solvable());
 
     // ------------------------------------------------------------------
-    // 3. Polynomials as unions of conjunctive queries (the bridge to the
-    //    Ioannidis–Ramakrishnan undecidability construction for UCQs).
-    // ------------------------------------------------------------------
-    let ucq = polynomial_to_ucq(&polynomial, "U");
-    println!(
-        "\nthe polynomial side encoded as a Boolean UCQ ({} disjuncts):",
-        ucq.disjuncts().len()
-    );
-    println!("{ucq}");
-    for assignment in [vec![nat(1), nat(4), nat(3)], vec![nat(2), nat(3), nat(5)]] {
-        let bag = assignment_to_star_bag(&assignment, "U");
-        let via_queries = evaluate_ucq_on_star_bag(&ucq, &bag);
-        let direct = polynomial.evaluate(&assignment);
-        println!(
-            "  P({}) = {} (direct) = {} (as a UCQ bag answer)",
-            assignment.iter().map(Natural::to_decimal_string).collect::<Vec<_>>().join(", "),
-            direct,
-            via_queries
-        );
-        assert_eq!(via_queries, direct);
-    }
-
-    // ------------------------------------------------------------------
-    // 4. A tiny ad-hoc system solved with both engines, as a sanity check
+    // 3. A tiny ad-hoc system solved with both engines, as a sanity check
     //    that they agree.
     // ------------------------------------------------------------------
     let mut system = StrictHomogeneousSystem::new(2);

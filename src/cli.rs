@@ -2065,8 +2065,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
         let run_delta = dioph_arith::stats::snapshot().since(&run_before);
         alloc.absorb(&dioph_obs::snapshot().since(&reg_before));
         arith = dioph_arith::stats::Snapshot {
-            small_hits: arith.small_hits.saturating_add(run_delta.small_hits),
-            big_fallbacks: arith.big_fallbacks.saturating_add(run_delta.big_fallbacks),
             int_small_hits: arith.int_small_hits.saturating_add(run_delta.int_small_hits),
             int_big_fallbacks: arith.int_big_fallbacks.saturating_add(run_delta.int_big_fallbacks),
         };
@@ -2113,7 +2111,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
             Some(rate) => format!("{rate:.6}"),
             None => "null".to_string(),
         };
-        let hit_rate = rate_or_null(arith.hit_rate());
         let int_hit_rate = rate_or_null(arith.int_hit_rate());
         let allocs_per_probe = rate_or_null(alloc.heap_allocs_per_probe());
         let metrics = if opts.metrics {
@@ -2123,9 +2120,7 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
         };
         Ok(format!(
             "{{\"command\":\"bench\",\"algorithm\":\"{}\",\"engine\":\"simplex\",\"repeat\":{},\
-             \"total_ns\":{total_ns},\"arith_small_path\":{{\"small_hits\":{},\
-             \"big_fallbacks\":{},\"hit_rate\":{hit_rate}}},\
-             \"arith_int_path\":{{\"small_hits\":{},\"big_fallbacks\":{},\
+             \"total_ns\":{total_ns},\"arith_int_path\":{{\"small_hits\":{},\"big_fallbacks\":{},\
              \"hit_rate\":{int_hit_rate}}},\
              \"alloc\":{{\"heap_allocs\":{},\"probes\":{},\
              \"heap_allocs_per_probe\":{allocs_per_probe},\"monomial_inline\":{},\
@@ -2133,8 +2128,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
              \"pool_rows_hwm\":{}}},\"pairs\":[{}]{metrics}}}\n",
             opts.algorithm_name,
             opts.repeat,
-            arith.small_hits,
-            arith.big_fallbacks,
             arith.int_small_hits,
             arith.int_big_fallbacks,
             alloc.heap_allocs,
@@ -2155,17 +2148,6 @@ fn cmd_bench(args: &[String], stdin: &mut dyn Read) -> CliResult {
             format_ns(total_ns)
         )
         .expect("writing to a String cannot fail");
-        if let Some(rate) = arith.hit_rate() {
-            writeln!(
-                human,
-                "arith small path: {:.1}% of {} rational op(s) stayed machine-word \
-                 ({} fell back to limbs)",
-                rate * 100.0,
-                arith.total(),
-                arith.big_fallbacks
-            )
-            .expect("writing to a String cannot fail");
-        }
         if let Some(rate) = arith.int_hit_rate() {
             writeln!(
                 human,
@@ -2350,16 +2332,19 @@ mod tests {
     }
 
     #[test]
-    fn bench_json_reports_small_path_hit_rates() {
+    fn bench_json_reports_int_path_hit_rates() {
         // A pair whose LP genuinely pivots: the ACCEPTANCE pair
         // short-circuits on a zero row before the kernel runs, and the
         // contained direction R^2 ⊑ R^3 is refuted by the first optimality
         // check, before any pivot.
         let input = "q(x) <- R^3(x, x). p(x) <- R^2(x, x).";
         let out = run_ok(&["bench", "--json", "--repeat", "2"], input);
-        assert!(out.contains("\"arith_small_path\":{\"small_hits\":"), "{out}");
+        assert!(out.contains("\"arith_int_path\":{\"small_hits\":"), "{out}");
         assert!(out.contains("\"big_fallbacks\":"), "{out}");
         assert!(out.contains("\"hit_rate\":"), "{out}");
+        // The decider does no rational arithmetic, so there is no rational
+        // fast-path block to report.
+        assert!(!out.contains("arith_small_path"), "{out}");
         // The fraction-free kernel's pivot arithmetic (exact divisions and
         // gcds) lives on the integer machine-word path at this size: some
         // hits must be recorded.
@@ -2426,21 +2411,22 @@ mod tests {
         let input = "q(x) <- R^2(x, x). p(x) <- R^3(x, x).";
         let out = run_ok(&["bench", "--json", "--repeat", "2"], input);
         let doc = Json::parse(out.trim_end()).expect("bench --json must be valid JSON");
-        for section in ["arith_small_path", "arith_int_path"] {
-            let rate = doc
-                .get(section)
-                .and_then(|s| s.get("hit_rate"))
-                .unwrap_or_else(|| panic!("{section}.hit_rate missing: {out}"));
-            assert!(
-                matches!(rate, Json::Null | Json::Number(_)),
-                "{section}.hit_rate must be null or a number, got {rate:?}"
-            );
-        }
+        let rate = doc
+            .get("arith_int_path")
+            .and_then(|s| s.get("hit_rate"))
+            .unwrap_or_else(|| panic!("arith_int_path.hit_rate missing: {out}"));
+        assert!(
+            matches!(rate, Json::Null | Json::Number(_)),
+            "arith_int_path.hit_rate must be null or a number, got {rate:?}"
+        );
+        assert!(doc.get("arith_small_path").is_none(), "{out}");
         let verified = run_ok(&["verify"], &out);
         assert!(verified.contains("bench timing entry"), "{verified}");
         assert!(verified.contains("1 timing-only entry"), "{verified}");
         assert!(verified.contains("0 failure(s)"), "{verified}");
-        // A synthetic zero-op document pins the null branch end to end.
+        // A synthetic zero-op document pins the null branch end to end. It
+        // keeps the older envelope's `arith_small_path` block, so `verify`
+        // still accepts bench output written before that block was dropped.
         let null_doc = "{\"command\":\"bench\",\"algorithm\":\"most-general\",\
              \"engine\":\"simplex\",\"repeat\":1,\"total_ns\":0,\
              \"arith_small_path\":{\"small_hits\":0,\"big_fallbacks\":0,\"hit_rate\":null},\
@@ -2929,6 +2915,21 @@ mod tests {
         );
         // Negative and fractional counters are not counts.
         reject(&synthetic_metrics(1, 1, "\"lp.bareiss.pivots\":-2"), "negative volatile counter");
+    }
+
+    #[test]
+    fn verify_rejects_the_retired_rational_counters() {
+        // The registry no longer has `arith.small_hits`/`arith.big_fallbacks`
+        // (the decider does no rational arithmetic), so a metrics block
+        // naming either is refused rather than silently accepted.
+        for name in ["arith.small_hits", "arith.big_fallbacks"] {
+            assert!(dioph_obs::registry::counters().iter().all(|c| c.name() != name), "{name}");
+            let line =
+                format!("{{\"metrics\":{}}}\n", synthetic_metrics(1, 1, &format!("\"{name}\":3")));
+            let (usage, message) = run_err(&["verify"], &line);
+            assert!(!usage, "{name}: expected a verification failure, got usage error");
+            assert!(message.contains("failed verification"), "{name}: {message}");
+        }
     }
 
     #[test]

@@ -62,8 +62,6 @@ pub use dioph_containment::{
     Algorithm, BagContainment, BagContainmentDecider, ContainmentError, Counterexample,
     FeasibilityEngine,
 };
-pub use dioph_cq::{
-    parse_program, parse_query, parse_ucq, ConjunctiveQuery, Term, UnionOfConjunctiveQueries,
-};
+pub use dioph_cq::{parse_program, parse_query, ConjunctiveQuery, Term};
 pub use dioph_engine::{DecisionEngine, EngineConfig};
 pub use dioph_poly::{Monomial, Mpi, Polynomial};

@@ -138,11 +138,11 @@ fn warm_scratch_decides_star_systems_allocating_only_the_witness() {
         let mut scratch = LpScratch::new();
         // The first run grows every row buffer to the size its row reaches;
         // the second grows the pool's stack that holds them between runs.
-        let cold = sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
-        sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+        let cold = sys.natural_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+        sys.natural_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
 
         let (allocs, pivots) = (THREAD_ALLOCS.with(Cell::get), LP_BAREISS_PIVOTS.get());
-        let warm = sys.rational_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
+        let warm = sys.natural_solution_in(FeasibilityEngine::Simplex, &mut scratch).unwrap();
         let allocs = THREAD_ALLOCS.with(Cell::get) - allocs;
         let pivots = LP_BAREISS_PIVOTS.get() - pivots;
 
