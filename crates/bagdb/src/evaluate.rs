@@ -14,13 +14,87 @@
 //! the *image query* `h(q)`, of the atom's bag multiplicity raised to the
 //! atom's multiplicity in `h(q)` (which accounts for body atoms that collapse
 //! under `h`, per Equation 1).
+//!
+//! The homomorphisms come from a naive search private to this module, not
+//! from the containment-mapping search of `dioph-cq`: the containment
+//! decider compiles its MPIs from that search, so re-checking its
+//! counterexamples with a separate one keeps the check independent.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use dioph_arith::Natural;
-use dioph_cq::{query_homomorphisms, ConjunctiveQuery, Substitution, Term};
+use dioph_cq::{Atom, ConjunctiveQuery, Substitution, Term};
 
 use crate::instance::{BagInstance, SetInstance};
+
+/// Enumerates every homomorphism of `atoms` into the ground `instance`,
+/// extending the partial substitution `seed`.
+///
+/// The returned substitutions bind every variable occurring in `atoms`
+/// (plus whatever `seed` already bound).
+///
+/// # Panics
+/// Panics if `instance` contains a non-ground atom.
+fn homomorphisms_into(
+    atoms: &[Atom],
+    instance: &BTreeSet<Atom>,
+    seed: &Substitution,
+) -> Vec<Substitution> {
+    for fact in instance {
+        assert!(fact.is_ground(), "homomorphism target must be a set of ground atoms");
+    }
+
+    // Index the instance by (relation, arity) for candidate lookup.
+    let mut index: HashMap<(&str, usize), Vec<&Atom>> = HashMap::new();
+    for fact in instance {
+        index.entry((fact.relation(), fact.arity())).or_default().push(fact);
+    }
+
+    // Each atom's candidate list, looked up once; atoms with fewer
+    // candidates are matched first (the sort is stable, so equal counts
+    // keep the body order).
+    let mut ordered: Vec<(&Atom, &[&Atom])> = atoms
+        .iter()
+        .map(|a| {
+            let candidates =
+                index.get(&(a.relation(), a.arity())).map(Vec::as_slice).unwrap_or(&[]);
+            (a, candidates)
+        })
+        .collect();
+    ordered.sort_by_key(|(_, candidates)| candidates.len());
+
+    let mut results = Vec::new();
+    let mut current = seed.clone();
+    search(&ordered, 0, &mut current, &mut results);
+    results
+}
+
+fn search(
+    atoms: &[(&Atom, &[&Atom])],
+    depth: usize,
+    current: &mut Substitution,
+    results: &mut Vec<Substitution>,
+) {
+    let Some(&(atom, candidates)) = atoms.get(depth) else {
+        results.push(current.clone());
+        return;
+    };
+    for fact in candidates {
+        let mut attempt = current.clone();
+        if attempt.unify_tuples(atom.terms(), fact.terms()) {
+            std::mem::swap(current, &mut attempt);
+            search(atoms, depth + 1, current, results);
+            std::mem::swap(current, &mut attempt);
+        }
+    }
+}
+
+/// `Hom(q(x), I)`: all homomorphisms of `body(q)` into the ground instance
+/// `instance`.
+fn query_homomorphisms(query: &ConjunctiveQuery, instance: &BTreeSet<Atom>) -> Vec<Substitution> {
+    let atoms: Vec<Atom> = query.body_atoms().cloned().collect();
+    homomorphisms_into(&atoms, instance, &Substitution::identity())
+}
 
 /// The answers of a query under **set semantics**: the set of head images of
 /// homomorphisms into the instance.
@@ -151,10 +225,103 @@ pub fn bag_containment_holds_on(
 mod tests {
     use super::*;
     use dioph_cq::paper_examples;
-    use dioph_cq::Atom;
+
+    fn v(n: &str) -> Term {
+        Term::var(n)
+    }
 
     fn c(n: &str) -> Term {
         Term::constant(n)
+    }
+
+    /// `Hom_{h(x)=t}(q(x), I)`: the homomorphisms of `body(q)` into
+    /// `instance` that map the head onto `answer`.
+    fn query_homomorphisms_with_answer(
+        query: &ConjunctiveQuery,
+        instance: &BTreeSet<Atom>,
+        answer: &[Term],
+    ) -> Vec<Substitution> {
+        let mut seed = Substitution::identity();
+        if !seed.unify_tuples(query.head(), answer) {
+            return Vec::new();
+        }
+        let atoms: Vec<Atom> = query.body_atoms().cloned().collect();
+        homomorphisms_into(&atoms, instance, &seed)
+    }
+
+    #[test]
+    fn homomorphisms_into_small_instance() {
+        // body: R(x, y), R(y, z); instance: R(a,b), R(b,c), R(b,b).
+        let atoms =
+            vec![Atom::new("R", vec![v("x"), v("y")]), Atom::new("R", vec![v("y"), v("z")])];
+        let instance: BTreeSet<Atom> = [
+            Atom::new("R", vec![c("a"), c("b")]),
+            Atom::new("R", vec![c("b"), c("c")]),
+            Atom::new("R", vec![c("b"), c("b")]),
+        ]
+        .into_iter()
+        .collect();
+        let homs = homomorphisms_into(&atoms, &instance, &Substitution::identity());
+        // Paths of length 2: a->b->c, a->b->b, b->b->c, b->b->b.
+        assert_eq!(homs.len(), 4);
+        for h in &homs {
+            for a in &atoms {
+                assert!(instance.contains(&h.apply_atom(a)));
+            }
+        }
+    }
+
+    #[test]
+    fn seed_constrains_the_search() {
+        let atoms = vec![Atom::new("R", vec![v("x"), v("y")])];
+        let instance: BTreeSet<Atom> = [
+            Atom::new("R", vec![c("a"), c("b")]),
+            Atom::new("R", vec![c("a"), c("c")]),
+            Atom::new("R", vec![c("d"), c("b")]),
+        ]
+        .into_iter()
+        .collect();
+        let seed = Substitution::from_pairs([("x".to_string(), c("a"))]);
+        let homs = homomorphisms_into(&atoms, &instance, &seed);
+        assert_eq!(homs.len(), 2);
+        assert!(homs.iter().all(|h| h.get("x") == Some(&c("a"))));
+    }
+
+    #[test]
+    fn no_matching_relation_means_no_homomorphism() {
+        let atoms = vec![Atom::new("S", vec![v("x")])];
+        let instance: BTreeSet<Atom> = [Atom::new("R", vec![c("a")])].into_iter().collect();
+        assert!(homomorphisms_into(&atoms, &instance, &Substitution::identity()).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "ground atoms")]
+    fn non_ground_instance_is_rejected() {
+        let instance: BTreeSet<Atom> = [Atom::new("R", vec![v("x")])].into_iter().collect();
+        let _ = homomorphisms_into(&[], &instance, &Substitution::identity());
+    }
+
+    #[test]
+    fn paper_section2_homomorphism_counts() {
+        // Paper Section 2: q(x1,x2) over instance I has exactly the four
+        // homomorphisms h1..h4 (two per answer tuple).
+        let q = paper_examples::section2_query_q3();
+        let instance: BTreeSet<Atom> = [
+            Atom::new("R", vec![c("c1"), c("c2")]),
+            Atom::new("R", vec![c("c1"), c("c3")]),
+            Atom::new("P", vec![c("c2"), c("c4")]),
+            Atom::new("P", vec![c("c5"), c("c4")]),
+        ]
+        .into_iter()
+        .collect();
+        let all = query_homomorphisms(&q, &instance);
+        assert_eq!(all.len(), 4);
+        let to_c1c2 = query_homomorphisms_with_answer(&q, &instance, &[c("c1"), c("c2")]);
+        assert_eq!(to_c1c2.len(), 2);
+        let to_c1c5 = query_homomorphisms_with_answer(&q, &instance, &[c("c1"), c("c5")]);
+        assert_eq!(to_c1c5.len(), 2);
+        // Tuples that are not answers have no homomorphisms.
+        assert!(query_homomorphisms_with_answer(&q, &instance, &[c("c2"), c("c2")]).is_empty());
     }
 
     fn nat(v: u64) -> Natural {

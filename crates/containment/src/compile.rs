@@ -29,7 +29,7 @@ use dioph_arith::Natural;
 use dioph_bagdb::{bag_answer_multiplicity, BagInstance};
 use dioph_cq::{
     most_general_probe_tuple, try_for_each_containment_mapping_to_grounded, Atom, ConjunctiveQuery,
-    MappingBindings, ProbeSpace, Term,
+    ProbeSpace, Term,
 };
 use dioph_poly::{Monomial, Mpi, Polynomial};
 
@@ -203,22 +203,18 @@ fn compile_probe(
     let stop_at_dominance = stop_at_dominance && monomial.degree() <= containing.total_atom_count();
 
     // Polynomial side: one monomial per containment mapping h ∈ CM(q2, q1(t)).
-    // The visitor enumeration never materialises a substitution or the
-    // image query h(q2): each image atom is matched term-wise against the
-    // unknown vector, and multiplicities of atoms that collapse under h
-    // accumulate directly into the reused exponent buffer (Equation 1).
+    // The search names the fact (= unknown) each atom of q2 maps to, so the
+    // image query h(q2) is never materialised: multiplicities of atoms that
+    // collapse under h accumulate directly into the reused exponent buffer
+    // (Equation 1).
     let mut polynomial = Polynomial::zero(n);
     let mut mapping_count = 0usize;
     let mut exponents = vec![0u64; n];
     let flow = try_for_each_containment_mapping_to_grounded(containing, &grounded, |h| {
         mapping_count += 1;
         exponents.iter_mut().for_each(|e| *e = 0);
-        for (atom, mult) in containing.body() {
-            let j = grounded
-                .body_atoms()
-                .position(|cand| image_matches(cand, atom, h))
-                .expect("the image of a containment mapping lies inside the canonical instance");
-            exponents[j] += mult;
+        for ((_, mult), &fact) in containing.body().zip(h.facts()) {
+            exponents[fact] += mult;
         }
         if stop_at_dominance && dominates(&exponents, monomial.exponents()) {
             return ControlFlow::Break(());
@@ -409,19 +405,6 @@ impl CompiledPair {
         );
         Counterexample { probe, bag, containee_multiplicity, containing_multiplicity }
     }
-}
-
-/// Does `candidate` equal the image `h(atom)`? Decided term-wise against the
-/// mapping's bindings, so the image atom is never materialised.
-fn image_matches(candidate: &Atom, atom: &Atom, h: &MappingBindings<'_>) -> bool {
-    candidate.relation() == atom.relation()
-        && candidate.arity() == atom.arity()
-        && atom.terms().iter().zip(candidate.terms()).all(|(pattern, target)| {
-            match pattern.as_var() {
-                Some(v) => h.image_of(v) == Some(target),
-                None => pattern == target,
-            }
-        })
 }
 
 /// Checks that `containee` lies in the fragment the paper's decision

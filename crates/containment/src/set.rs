@@ -11,7 +11,7 @@
 //!   problem coincides with set containment, so it is exposed here under that
 //!   restriction.
 
-use dioph_cq::{containment_mappings, is_set_contained, ConjunctiveQuery, Substitution};
+use dioph_cq::{first_containment_mapping, is_set_contained, ConjunctiveQuery, Substitution};
 
 use crate::certificate::ContainmentError;
 use crate::compile::validate_containee;
@@ -48,7 +48,7 @@ pub fn set_containment(
     containee: &ConjunctiveQuery,
     containing: &ConjunctiveQuery,
 ) -> SetContainment {
-    match containment_mappings(containing, containee).into_iter().next() {
+    match first_containment_mapping(containing, containee) {
         Some(witness) => SetContainment::Contained(Box::new(witness)),
         None => SetContainment::NotContained,
     }

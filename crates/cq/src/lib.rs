@@ -42,10 +42,8 @@ mod term;
 
 pub use atom::Atom;
 pub use homomorphism::{
-    containment_mappings, containment_mappings_to_grounded,
-    for_each_containment_mapping_to_grounded, homomorphisms_into, is_set_contained,
-    query_homomorphisms, query_homomorphisms_with_answer,
-    try_for_each_containment_mapping_to_grounded, MappingBindings,
+    containment_mappings, first_containment_mapping, for_each_containment_mapping_to_grounded,
+    is_set_contained, try_for_each_containment_mapping_to_grounded, MappingBindings,
 };
 pub use parser::{
     parse_program, parse_program_spanned, parse_query, parse_query_spanned, ParseQueryError,

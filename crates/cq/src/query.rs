@@ -75,7 +75,7 @@ impl ConjunctiveQuery {
     }
 
     /// The set of distinct body atoms (`body(q)` in the paper).
-    pub fn body_atoms(&self) -> impl ExactSizeIterator<Item = &Atom> {
+    pub fn body_atoms(&self) -> impl ExactSizeIterator<Item = &Atom> + Clone {
         self.body.keys()
     }
 

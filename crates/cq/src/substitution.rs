@@ -89,7 +89,7 @@ impl Substitution {
     ///
     /// Returns `false` (leaving `self` possibly partially extended) when
     /// unification fails; callers that need rollback should clone first.
-    pub(crate) fn unify_tuples(&mut self, pattern: &[Term], target: &[Term]) -> bool {
+    pub fn unify_tuples(&mut self, pattern: &[Term], target: &[Term]) -> bool {
         if pattern.len() != target.len() {
             return false;
         }

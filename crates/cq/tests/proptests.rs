@@ -3,8 +3,8 @@
 use std::collections::BTreeSet;
 
 use dioph_cq::{
-    containment_mappings, is_set_contained, parse_query, probe_tuples, query_homomorphisms, Atom,
-    ConjunctiveQuery, Substitution, Term,
+    containment_mappings, is_set_contained, parse_query, probe_tuples, Atom, ConjunctiveQuery,
+    Substitution, Term,
 };
 use proptest::prelude::*;
 
@@ -64,6 +64,11 @@ fn specializing_substitution(query: &ConjunctiveQuery, salt: u64) -> Substitutio
     )
 }
 
+/// The query with its head dropped.
+fn boolean(query: &ConjunctiveQuery) -> ConjunctiveQuery {
+    ConjunctiveQuery::new(query.name(), Vec::new(), query.body().map(|(a, m)| (a.clone(), m)))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -99,21 +104,22 @@ proptest! {
     /// set containment is reflexive.
     #[test]
     fn canonical_homomorphism_exists(q in query_strategy()) {
-        let homs = query_homomorphisms(&q, &q.canonical_instance());
+        let homs = containment_mappings(&q, &q);
         prop_assert!(!homs.is_empty());
         prop_assert!(is_set_contained(&q, &q));
     }
 
     /// Homomorphisms returned by the search are genuine: applying them maps
-    /// every body atom into the instance.
+    /// every body atom into the target's body. The heads are dropped so
+    /// that the search ranges over all of `Hom(q, I_target)`.
     #[test]
     fn homomorphisms_are_valid(q in query_strategy(), target in query_strategy()) {
-        let instance = target.canonical_instance();
-        for h in query_homomorphisms(&q, &instance) {
+        let q = boolean(&q);
+        let target = boolean(&target);
+        for h in containment_mappings(&q, &target) {
             for atom in q.body_atoms() {
                 let image = h.apply_atom(atom);
-                prop_assert!(image.is_ground());
-                prop_assert!(instance.contains(&image), "{} not in instance", image);
+                prop_assert!(target.multiplicity(&image) > 0, "{} not in the target", image);
             }
         }
     }

@@ -1194,7 +1194,11 @@ struct VerifyReport {
     /// `"metrics"` envelope members (and batch `--metrics` trailer lines)
     /// acknowledged and structurally validated.
     metrics_blocks: usize,
+    /// Certificates (counterexamples, contained verdicts, disagreements)
+    /// that failed their re-check.
     failed: usize,
+    /// Metrics blocks that failed structural validation.
+    metrics_failed: usize,
 }
 
 impl VerifyReport {
@@ -1294,7 +1298,7 @@ fn acknowledge_metrics(report: &mut VerifyReport, metrics: &Json) {
     match check_metrics(metrics) {
         Ok(line) => report.lines.push_str(&format!("[metrics] {line}\n")),
         Err(diagnostic) => {
-            report.failed += 1;
+            report.metrics_failed += 1;
             report.lines.push_str(&format!("[metrics] VERIFICATION FAILED: {diagnostic}\n"));
         }
     }
@@ -1517,22 +1521,11 @@ fn cmd_verify(
         }
         files.push(arg.clone());
     }
-    let mut sources: Vec<(String, String)> = Vec::new();
-    if files.is_empty() {
-        let mut text = String::new();
-        stdin.read_to_string(&mut text).map_err(|e| CliError::Failure(format!("<stdin>: {e}")))?;
-        sources.push(("<stdin>".to_string(), text));
-    } else {
-        for file in &files {
-            let text = std::fs::read_to_string(file)
-                .map_err(|e| CliError::Failure(format!("{file}: {e}")))?;
-            sources.push((file.clone(), text));
-        }
-    }
+    let sources = read_sources(&files, stdin)?;
 
     let mut report = VerifyReport::default();
     let mut saw_entries = false;
-    for (name, text) in &sources {
+    for LoadedSource { name, text } in &sources {
         for (line_index, line) in text.lines().enumerate() {
             if line.trim().is_empty() {
                 continue;
@@ -1633,15 +1626,19 @@ fn cmd_verify(
         report.timing_entries,
         if report.timing_entries == 1 { "y" } else { "ies" },
         report.error_lines,
-        report.failed
+        report.failed + report.metrics_failed
     );
     write_out(out, &report.lines)?;
     write_out(out, &summary)?;
+    let mut failures = Vec::new();
     if report.failed > 0 {
-        return Err(CliError::Failure(format!(
-            "{} counterexample(s) failed verification",
-            report.failed
-        )));
+        failures.push(format!("{} counterexample(s)", report.failed));
+    }
+    if report.metrics_failed > 0 {
+        failures.push(format!("{} metrics block(s)", report.metrics_failed));
+    }
+    if !failures.is_empty() {
+        return Err(CliError::Failure(format!("{} failed verification", failures.join(" and "))));
     }
     Ok(())
 }
@@ -2915,6 +2912,23 @@ mod tests {
         );
         // Negative and fractional counters are not counts.
         reject(&synthetic_metrics(1, 1, "\"lp.bareiss.pivots\":-2"), "negative volatile counter");
+    }
+
+    #[test]
+    fn verify_names_a_failed_metrics_block_alone() {
+        // The counterexample verifies; only the metrics block is rejected,
+        // so the exit message must not blame a counterexample.
+        let envelope = run_ok(&["decide", "--json"], "q(x) <- R(x, x), S(x). p(x) <- R(x, x).");
+        assert!(run_ok(&["verify"], &envelope).contains("1 counterexample(s) verified"));
+        let spliced = format!(
+            "{},\"metrics\":{}}}\n",
+            envelope.trim_end().strip_suffix('}').expect("decide envelope is an object"),
+            synthetic_metrics(5, 1, "")
+        );
+        let (usage, message) = run_err(&["verify"], &spliced);
+        assert!(!usage, "expected a verification failure, got usage error: {message}");
+        assert!(message.contains("1 metrics block(s) failed verification"), "{message}");
+        assert!(!message.contains("counterexample"), "{message}");
     }
 
     #[test]

@@ -94,6 +94,35 @@ fn equiv_certificates_match_the_pre_refactor_tree() {
     );
 }
 
+/// The set-semantics witnesses are the first containment mapping the search
+/// finds, so these files pin the search order: recorded with
+///
+/// ```text
+/// diophantus gen <kind> --count 3 --seed 2019 | diophantus decide --set --json
+/// diophantus gen <kind> --count 3 --seed 2019 | diophantus decide --bag-set --json
+/// diophantus gen <kind> --count 3 --seed 2019 | diophantus equiv --set --json
+/// ```
+///
+/// by the tree whose set containment still materialised every mapping
+/// through the `Substitution`-cloning search.
+#[test]
+fn set_witnesses_match_the_recorded_search_order() {
+    for kind in KINDS {
+        let pairs = workload(kind);
+        for (args, file) in [
+            (["decide", "--set", "--json"], "set"),
+            (["decide", "--bag-set", "--json"], "bag-set"),
+            (["equiv", "--set", "--json"], "set-equiv"),
+        ] {
+            assert_eq!(
+                stdout_of(&args, &pairs),
+                golden(&format!("{kind}.{file}.json")),
+                "{kind}: {args:?} diverged from the recorded golden output"
+            );
+        }
+    }
+}
+
 #[test]
 fn golden_certificates_still_verify() {
     // The recorded counterexamples must pass the independent Equation-2

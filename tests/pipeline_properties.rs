@@ -13,7 +13,9 @@
 //! * a verdict of containment is never refuted by random-bag sampling;
 //! * the 3-colorability reduction agrees with a direct graph search;
 //! * the differential fuzzing oracle finds no disagreement on generated
-//!   pairs, with identical outcomes across LP routes and thread counts.
+//!   pairs, with identical outcomes across LP routes and thread counts;
+//! * every compiled probe's MPI evaluates to the Equation-2 multiplicities
+//!   that `dioph-bagdb`'s separate homomorphism search computes.
 
 use diophantus::fuzz::{check_pair, generate_case, FuzzConfig};
 use diophantus::workloads::random::{
@@ -162,6 +164,57 @@ proptest! {
                 None => reference = Some(outcome),
                 Some(expected) => {
                     prop_assert_eq!(expected, &outcome, "outcome diverged under jobs={}", jobs);
+                }
+            }
+        }
+    }
+
+    /// The compiler's containment-mapping search against the bag engine's
+    /// own: on every probe `t` of random pairs (arbitrary and specialised),
+    /// `P(u)` and `M(u)` equal the Equation-2 multiplicities of `t` in the
+    /// containing query and the containee over the bag `u` (multiplicities
+    /// 0–3), and the mapping count equals the containing query's
+    /// multiplicity over the all-ones bag.
+    #[test]
+    fn compiled_probes_agree_with_equation_2(seed in 0u64..10_000) {
+        use diophantus::arith::Natural;
+        use diophantus::containment::CompiledPair;
+        use diophantus::bag_answer_multiplicity;
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = small_shape();
+        let random = (
+            random_projection_free_cq("q_containee", &shape, &mut rng),
+            random_projection_free_cq("q_containing", &shape, &mut rng),
+        );
+        let specialised = specialization_pair(&shape, &mut rng);
+        for (containee, containing) in [random, specialised] {
+            let pair = CompiledPair::new(containee.clone(), containing.clone())
+                .expect("projection-free containee");
+            for index in 0..pair.probe_space().raw_len() {
+                let Some(probe) = pair.probe(index) else { continue };
+                let t = probe.probe();
+                let ones = vec![Natural::one(); probe.dimension()];
+                prop_assert_eq!(
+                    Natural::from(probe.mapping_count() as u64),
+                    bag_answer_multiplicity(&containing, &probe.assignment_to_bag(&ones), t),
+                    "mapping count of {} into {} at {:?}", containing, containee, t
+                );
+                for _ in 0..4 {
+                    let u: Vec<Natural> = (0..probe.dimension())
+                        .map(|_| Natural::from(rng.random_range(0u64..=3)))
+                        .collect();
+                    let bag = probe.assignment_to_bag(&u);
+                    prop_assert_eq!(
+                        probe.mpi().polynomial().evaluate(&u),
+                        bag_answer_multiplicity(&containing, &bag, t),
+                        "P(u) of {} into {} at {:?}, u = {:?}", containing, containee, t, u
+                    );
+                    prop_assert_eq!(
+                        probe.mpi().monomial().evaluate(&u),
+                        bag_answer_multiplicity(&containee, &bag, t),
+                        "M(u) of {} at {:?}, u = {:?}", containee, t, u
+                    );
                 }
             }
         }
