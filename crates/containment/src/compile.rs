@@ -195,21 +195,17 @@ fn compile_probe(
 
     // Monomial side: exponents are the body multiplicities of q1(t), in
     // the same deterministic (sorted) order as the unknowns.
-    let mut mono_exponents = vec![0u64; n];
-    for (j, (_atom, mult)) in grounded.body().enumerate() {
-        mono_exponents[j] = mult;
-    }
-    let monomial = Monomial::new(mono_exponents);
+    let mut exponents: Vec<u64> = grounded.body().map(|(_atom, mult)| mult).collect();
+    let monomial = Monomial::from_slice(&exponents);
     let stop_at_dominance = stop_at_dominance && monomial.degree() <= containing.total_atom_count();
 
     // Polynomial side: one monomial per containment mapping h ∈ CM(q2, q1(t)).
     // The search names the fact (= unknown) each atom of q2 maps to, so the
     // image query h(q2) is never materialised: multiplicities of atoms that
-    // collapse under h accumulate directly into the reused exponent buffer
-    // (Equation 1).
+    // collapse under h accumulate directly into the exponent buffer, reused
+    // from the monomial (Equation 1).
     let mut polynomial = Polynomial::zero(n);
     let mut mapping_count = 0usize;
-    let mut exponents = vec![0u64; n];
     let flow = try_for_each_containment_mapping_to_grounded(containing, &grounded, |h| {
         mapping_count += 1;
         exponents.iter_mut().for_each(|e| *e = 0);
@@ -233,35 +229,54 @@ fn compile_probe(
     }))
 }
 
-/// The most-general probe as far as deciding it needs
-/// ([`CompiledPair::most_general_rung`]).
+/// A probe as far as deciding it needs: the early-stop outcome of its
+/// compilation ([`CompiledPair::most_general_rung`],
+/// [`CompiledPair::probe_rung`]).
 #[derive(Clone, Copy, Debug)]
-pub enum MostGeneral<'a> {
-    /// A containment mapping dominates the monomial: the pair is contained,
+pub enum EarlyStop<'a> {
+    /// A containment mapping dominates the monomial: the probe is contained,
     /// and the mapping search stopped there.
     Dominated,
     /// No mapping dominates: the full compiled probe.
     Compiled(&'a CompiledProbe),
 }
 
+/// The most-general probe's [`EarlyStop`] outcome.
+pub type MostGeneral<'a> = EarlyStop<'a>;
+
+/// The memoised early-stop outcome of one raw probe index. The full probe
+/// is boxed so that the slot of a dominated probe, nearly every probe on
+/// the all-probes route, stays a few words wide.
+#[derive(Debug)]
+enum ProbeMemo {
+    /// The candidate tuple is not unifiable with the head.
+    NotAProbe,
+    /// A containment mapping dominates the monomial.
+    Dominated,
+    /// No mapping dominates: the full compiled probe.
+    Compiled(Box<CompiledProbe>),
+}
+
 /// A whole containment pair compiled once and shared **read-only** across
 /// probes, worker threads and repeated decisions.
 ///
 /// This is the compilation cache behind `dioph-engine`: validation of the
-/// containee happens exactly once (in [`CompiledPair::new`]), and every
-/// per-probe compilation — the containment-mapping enumeration plus the MPI
-/// assembly of [`CompiledProbe::compile`] — is memoised in a
-/// [`OnceLock`] slot keyed by the probe's raw index in the pair's
-/// [`ProbeSpace`]. All state is immutable after initialisation, so a
-/// `CompiledPair` is `Send + Sync` and can sit behind an `Arc` (or a scoped
-/// borrow) while any number of threads resolve disjoint — or even
-/// overlapping — probe indices concurrently; a probe raced by two threads is
-/// still compiled only once.
+/// containee happens exactly once (in [`CompiledPair::new`]), and each
+/// probe's compilation is memoised in a [`OnceLock`] slot keyed by the
+/// probe's raw index in the pair's [`ProbeSpace`]. The MPI routes read the
+/// early-stop memo of [`Self::probe_rung`]: a dominated probe keeps one
+/// word saying so, and only the rest keep their compiled MPI.
+/// [`Self::probe`] keeps the full compilation of every probe in a second
+/// table, allocated on its first call. All state is immutable after
+/// initialisation, so a `CompiledPair` is `Send + Sync` and can sit behind
+/// an `Arc` (or a scoped borrow) while any number of threads resolve
+/// disjoint — or even overlapping — probe indices concurrently; a probe
+/// raced by two threads is still compiled only once per table.
 ///
 /// Deciding the same pair again (a `bench --repeat` loop, a batch stream
 /// replaying a pair, the two directions of an equivalence check each hitting
-/// their own pair) reuses every compiled MPI instead of re-enumerating the
-/// containment mappings.
+/// their own pair) reuses every memoised outcome instead of re-enumerating
+/// the containment mappings.
 #[derive(Debug)]
 pub struct CompiledPair {
     containee: ConjunctiveQuery,
@@ -270,8 +285,11 @@ pub struct CompiledPair {
     /// Whether a containment mapping dominates the most-general monomial.
     most_general_dominated: OnceLock<bool>,
     space: OnceLock<ProbeSpace>,
-    /// One memoisation slot per raw probe index; `None` marks an index whose
-    /// candidate tuple is not unifiable with the head (not a probe tuple).
+    /// The early-stop outcome of each raw probe index ([`Self::probe_rung`]).
+    memo: OnceLock<Vec<OnceLock<ProbeMemo>>>,
+    /// The full compilation of each raw probe index ([`Self::probe`]);
+    /// `None` marks an index whose candidate tuple is not unifiable with the
+    /// head (not a probe tuple).
     slots: OnceLock<Vec<OnceLock<Option<CompiledProbe>>>>,
 }
 
@@ -294,6 +312,7 @@ impl CompiledPair {
             most_general: OnceLock::new(),
             most_general_dominated: OnceLock::new(),
             space: OnceLock::new(),
+            memo: OnceLock::new(),
             slots: OnceLock::new(),
         })
     }
@@ -362,9 +381,9 @@ impl CompiledPair {
         self.probe_space().raw_len().max(1)
     }
 
-    /// Resolves (and memoises) the compilation of the probe with raw index
-    /// `index` in [`Self::probe_space`]; `None` when that index is not a
-    /// probe tuple. Safe to call from many threads at once.
+    /// Resolves (and memoises) the full compilation of the probe with raw
+    /// index `index` in [`Self::probe_space`]; `None` when that index is not
+    /// a probe tuple. Safe to call from many threads at once.
     ///
     /// # Panics
     /// Panics if `index` is out of range for the probe space.
@@ -380,6 +399,35 @@ impl CompiledPair {
                 })
             })
             .as_ref()
+    }
+
+    /// The probe with raw index `index` as far as deciding it needs,
+    /// memoised: `None` when that index is not a probe tuple,
+    /// [`EarlyStop::Dominated`] when the mapping search meets a mapping whose
+    /// Equation-1 exponents dominate the monomial (it stops there), otherwise
+    /// the full compiled probe, equal to [`Self::probe`]'s. Safe to call from
+    /// many threads at once; each index is compiled once.
+    ///
+    /// # Panics
+    /// Panics if `index` is out of range for the probe space.
+    pub fn probe_rung(&self, index: usize) -> Option<EarlyStop<'_>> {
+        let space = self.probe_space();
+        let memo =
+            self.memo.get_or_init(|| (0..space.raw_len()).map(|_| OnceLock::new()).collect());
+        let outcome = memo[index].get_or_init(|| {
+            let Some(probe) = space.tuple(index) else { return ProbeMemo::NotAProbe };
+            match compile_probe(&self.containee, &self.containing, probe, true)
+                .expect("probe tuples are unifiable with the head by construction")
+            {
+                Compiled::Dominated => ProbeMemo::Dominated,
+                Compiled::Full(full) => ProbeMemo::Compiled(Box::new(full)),
+            }
+        });
+        match outcome {
+            ProbeMemo::NotAProbe => None,
+            ProbeMemo::Dominated => Some(EarlyStop::Dominated),
+            ProbeMemo::Compiled(full) => Some(EarlyStop::Compiled(full)),
+        }
     }
 
     /// Builds (and soundness-checks) the counterexample bag for a probe of
@@ -605,6 +653,13 @@ mod tests {
             }
         });
         assert_eq!((0..n).filter_map(|i| pair.probe(i)).count(), 16);
+    }
+
+    #[test]
+    fn an_early_stop_memo_slot_is_three_words() {
+        // One slot per raw probe index is allocated up front; the full
+        // compilation's slot is 192 bytes.
+        assert!(std::mem::size_of::<OnceLock<ProbeMemo>>() <= 24);
     }
 
     #[test]

@@ -23,9 +23,13 @@ use dioph_arith::Natural;
 use dioph_cq::ConjunctiveQuery;
 use dioph_linalg::FeasibilityEngine;
 
-use crate::certificate::{BagContainment, ContainmentError};
-use crate::compile::{CompiledPair, CompiledProbe, MostGeneral, Rung};
+use crate::certificate::{BagContainment, ContainmentError, Counterexample};
+use crate::compile::{CompiledPair, CompiledProbe, EarlyStop, MostGeneral, Rung};
 use crate::scratch::ProbeScratch;
+
+/// A decided probe: the witness assignment, if any, and the deciding rung
+/// (as [`BagContainmentDecider::decide_probe_rung_in`] returns them).
+type ProbeDecision = (Option<Vec<Natural>>, Option<Rung>);
 
 /// Which decision algorithm to run.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -124,11 +128,11 @@ impl BagContainmentDecider {
         let mut checked = 0usize;
         let mut hardest = None;
         for index in 0..pair.probe_space().raw_len() {
-            let Some(compiled) = pair.probe(index) else { continue };
+            let Some(outcome) = self.decide_probe_at(pair, index, &mut scratch) else { continue };
             checked += 1;
-            let (witness, rung) = self.decide_probe_rung_in(compiled, &mut scratch)?;
+            let (witness, rung) = outcome?;
             if let Some(assignment) = witness {
-                let ce = pair.counterexample(compiled, &assignment);
+                let ce = self.counterexample_at(pair, index, &assignment);
                 return Ok((BagContainment::NotContained(Box::new(ce)), rung));
             }
             hardest = hardest.max(rung);
@@ -205,6 +209,58 @@ impl BagContainmentDecider {
             Algorithm::GuessCheck { budget } => {
                 Ok((guess_check_probe(compiled, budget, scratch)?, None))
             }
+        }
+    }
+
+    /// Decides the probe with raw index `index` of `pair` (the all-probes
+    /// unit): `None` when that index is not a probe tuple, otherwise the
+    /// outcome of [`Self::decide_probe_rung_in`]. The MPI routes decide from
+    /// the early-stop memo ([`CompiledPair::probe_rung`]), so a probe with a
+    /// dominating mapping is contained without its full MPI. Guess-and-check
+    /// runs no ladder and decides the full compilation
+    /// ([`CompiledPair::probe`]).
+    pub fn decide_probe_at(
+        &self,
+        pair: &CompiledPair,
+        index: usize,
+        scratch: &mut ProbeScratch,
+    ) -> Option<Result<ProbeDecision, ContainmentError>> {
+        Some(match self.indexed_probe(pair, index)? {
+            EarlyStop::Dominated => {
+                dioph_obs::registry::CONTAINMENT_PROBES_DECIDED.incr();
+                let _probe_span = dioph_obs::span(dioph_obs::Phase::Probe);
+                scratch.note_probe();
+                Ok((None, Some(Rung::Dominance)))
+            }
+            EarlyStop::Compiled(compiled) => self.decide_probe_rung_in(compiled, scratch),
+        })
+    }
+
+    /// The counterexample for a witness that [`Self::decide_probe_at`]
+    /// returned at probe `index` of `pair`, built from the compilation that
+    /// probe was decided on.
+    ///
+    /// # Panics
+    /// Panics if no compiled probe at `index` was decided: a dominated
+    /// probe or a non-probe index has no witness.
+    pub fn counterexample_at(
+        &self,
+        pair: &CompiledPair,
+        index: usize,
+        assignment: &[Natural],
+    ) -> Counterexample {
+        let Some(EarlyStop::Compiled(compiled)) = self.indexed_probe(pair, index) else {
+            panic!("a witness comes from a compiled probe");
+        };
+        pair.counterexample(compiled, assignment)
+    }
+
+    /// The compilation of probe `index` this decider decides: the early-stop
+    /// memo on the MPI routes, the full compilation for guess-and-check.
+    fn indexed_probe<'p>(&self, pair: &'p CompiledPair, index: usize) -> Option<EarlyStop<'p>> {
+        match self.algorithm {
+            Algorithm::MostGeneralProbe | Algorithm::AllProbes => pair.probe_rung(index),
+            Algorithm::GuessCheck { .. } => pair.probe(index).map(EarlyStop::Compiled),
         }
     }
 

@@ -51,7 +51,7 @@ mod scratch;
 mod set;
 
 pub use certificate::{BagContainment, ContainmentError, Counterexample};
-pub use compile::{CompiledPair, CompiledProbe, MostGeneral, Rung};
+pub use compile::{CompiledPair, CompiledProbe, EarlyStop, MostGeneral, Rung};
 pub use decider::{
     are_bag_equivalent, bag_equivalence, is_bag_contained, observe_verdict, Algorithm,
     BagContainmentDecider,

@@ -24,7 +24,7 @@
 //! its own naive one, so the re-check of a counterexample stays independent
 //! of the decider.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Range};
 
 use crate::atom::Atom;
 use crate::query::ConjunctiveQuery;
@@ -131,11 +131,23 @@ enum Pat<'a> {
 }
 
 /// One distinct body atom of the containing query, resolved for the search.
-struct Step<'a> {
+struct Step {
     /// The atom's position in the containing query's body order.
     atom: usize,
+    /// Its patterns, a range of [`Plan::pats`].
+    pats: Range<usize>,
+    /// The facts with the atom's relation and arity, a range of
+    /// [`Plan::candidates`].
+    candidates: Range<usize>,
+}
+
+/// Every step's patterns and candidates in two shared buffers, so the
+/// set-up allocates a fixed handful of vectors whatever the body size.
+struct Plan<'a> {
+    /// The steps, most constrained first.
+    steps: Vec<Step>,
     pats: Vec<Pat<'a>>,
-    /// The facts with the atom's relation and arity, as `(index, fact)`.
+    /// Candidate facts as `(index, fact)`.
     candidates: Vec<(usize, &'a Atom)>,
 }
 
@@ -190,8 +202,13 @@ fn search<'a>(
     if containing.arity() != tuple.len() {
         return ControlFlow::Continue(());
     }
-    let mut bindings =
-        MappingBindings { slots: Vec::new(), facts: vec![0; containing.distinct_atom_count()] };
+    // Every variable occupies a head or body position, which bounds the
+    // slot count.
+    let body_positions: usize = containing.body_atoms().map(|a| a.terms().len()).sum();
+    let mut bindings = MappingBindings {
+        slots: Vec::with_capacity(containing.arity() + body_positions),
+        facts: vec![0; containing.distinct_atom_count()],
+    };
 
     // Seed: the head of the containing query must map componentwise onto the
     // tuple (constants by equality, variables by consistent binding).
@@ -216,31 +233,39 @@ fn search<'a>(
 
     // Pre-resolve each distinct containing atom to slot/ground patterns and
     // its candidate facts, then order most-constrained-first.
-    let mut steps: Vec<Step<'a>> = containing
+    let candidate_count = containing
         .body_atoms()
-        .enumerate()
-        .map(|(index, atom)| {
-            let pats = atom
-                .terms()
-                .iter()
-                .map(|t| match t {
-                    Term::Var(v) => Pat::Slot(bindings.slot(v)),
-                    ground => Pat::Ground(ground),
-                })
-                .collect();
-            let candidates =
-                facts.clone().enumerate().filter(|(_, f)| f.same_schema(atom)).collect();
-            Step { atom: index, pats, candidates }
-        })
-        .collect();
-    steps.sort_by_key(|step| step.candidates.len());
+        .map(|atom| facts.clone().filter(|f| f.same_schema(atom)).count())
+        .sum();
+    let mut plan = Plan {
+        steps: Vec::with_capacity(containing.distinct_atom_count()),
+        pats: Vec::with_capacity(body_positions),
+        candidates: Vec::with_capacity(candidate_count),
+    };
+    for (index, atom) in containing.body_atoms().enumerate() {
+        let (pats_start, candidates_start) = (plan.pats.len(), plan.candidates.len());
+        plan.pats.extend(atom.terms().iter().map(|t| match t {
+            Term::Var(v) => Pat::Slot(bindings.slot(v)),
+            ground => Pat::Ground(ground),
+        }));
+        plan.candidates.extend(facts.clone().enumerate().filter(|(_, f)| f.same_schema(atom)));
+        plan.steps.push(Step {
+            atom: index,
+            pats: pats_start..plan.pats.len(),
+            candidates: candidates_start..plan.candidates.len(),
+        });
+    }
+    plan.steps.sort_by_key(|step| step.candidates.len());
 
-    let mut trail: Vec<usize> = Vec::new();
-    backtrack(&steps, &mut bindings, &mut trail, visit)
+    // A slot is bound at most once along a branch, so the trail never
+    // outgrows the slot table.
+    let mut trail: Vec<usize> = Vec::with_capacity(bindings.slots.len());
+    backtrack(&plan, &plan.steps, &mut bindings, &mut trail, visit)
 }
 
 fn backtrack<'a>(
-    steps: &[Step<'a>],
+    plan: &Plan<'a>,
+    steps: &[Step],
     bindings: &mut MappingBindings<'a>,
     trail: &mut Vec<usize>,
     visit: &mut impl FnMut(&MappingBindings<'a>) -> ControlFlow<()>,
@@ -248,10 +273,11 @@ fn backtrack<'a>(
     let Some((step, rest)) = steps.split_first() else {
         return visit(bindings);
     };
-    for &(index, fact) in &step.candidates {
+    let pats = &plan.pats[step.pats.clone()];
+    for &(index, fact) in &plan.candidates[step.candidates.clone()] {
         let mark = trail.len();
         let mut ok = true;
-        for (pat, target) in step.pats.iter().zip(fact.terms()) {
+        for (pat, target) in pats.iter().zip(fact.terms()) {
             match pat {
                 Pat::Slot(i) => match bindings.slots[*i].1 {
                     Some(existing) => {
@@ -275,7 +301,7 @@ fn backtrack<'a>(
         }
         let flow = if ok {
             bindings.facts[step.atom] = index;
-            backtrack(rest, bindings, trail, visit)
+            backtrack(plan, rest, bindings, trail, visit)
         } else {
             ControlFlow::Continue(())
         };

@@ -38,7 +38,11 @@ pub fn canonical_active_domain(query: &ConjunctiveQuery) -> BTreeSet<Term> {
 /// claims, in O(arity) per tuple.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct ProbeSpace {
-    head: Vec<Term>,
+    arity: usize,
+    /// `(i, j)` for each head position `i` whose variable first occurs at
+    /// position `j < i`: a candidate tuple unifies with the head iff it
+    /// agrees on every such pair.
+    ties: Vec<(usize, usize)>,
     domain: Vec<Term>,
     raw_len: usize,
 }
@@ -58,6 +62,13 @@ impl ProbeSpace {
                 "probe tuples are defined for queries with an all-variable head, found {t}"
             );
         }
+        let head = query.head();
+        let ties = (0..head.len())
+            .filter_map(|i| {
+                let j = head.iter().position(|t| *t == head[i]).expect("head[i] is in the head");
+                (j < i).then_some((i, j))
+            })
+            .collect();
         let domain: Vec<Term> = canonical_active_domain(query).into_iter().collect();
         let arity = query.arity();
         let raw_len = if arity == 0 {
@@ -69,7 +80,7 @@ impl ProbeSpace {
                 .checked_pow(u32::try_from(arity).expect("query arity fits in u32"))
                 .expect("probe space size overflows usize")
         };
-        ProbeSpace { head: query.head().to_vec(), domain, raw_len }
+        ProbeSpace { arity, ties, domain, raw_len }
     }
 
     /// Number of candidate tuples (before the unifiability filter):
@@ -91,14 +102,14 @@ impl ProbeSpace {
     /// Panics if `index >= raw_len()`.
     pub fn tuple(&self, index: usize) -> Option<Vec<Term>> {
         assert!(index < self.raw_len, "probe index {index} out of range {}", self.raw_len);
-        let arity = self.head.len();
-        let mut tuple = vec![Term::CanonConst(String::new()); arity];
-        let mut rest = index;
-        for pos in (0..arity).rev() {
-            tuple[pos] = self.domain[rest % self.domain.len()].clone();
-            rest /= self.domain.len();
+        let n = self.domain.len();
+        // The domain index at head position `pos`; `n^(arity - 1)` divides
+        // `raw_len`, so the power cannot overflow.
+        let digit = |pos: usize| index / n.pow((self.arity - 1 - pos) as u32) % n;
+        if !self.ties.iter().all(|&(i, j)| digit(i) == digit(j)) {
+            return None;
         }
-        unifiable_with_head(&self.head, &tuple).then_some(tuple)
+        Some((0..self.arity).map(|pos| self.domain[digit(pos)].clone()).collect())
     }
 
     /// Iterates over the probe tuples (the unifiable candidates) in raw-index
@@ -133,11 +144,6 @@ pub fn probe_tuples(query: &ConjunctiveQuery) -> Vec<Vec<Term>> {
 /// replaced by its own canonical constant.
 pub fn most_general_probe_tuple(query: &ConjunctiveQuery) -> Vec<Term> {
     query.head().iter().map(Term::canonicalize).collect()
-}
-
-fn unifiable_with_head(head: &[Term], tuple: &[Term]) -> bool {
-    let mut sigma = crate::substitution::Substitution::identity();
-    sigma.unify_tuples(head, tuple)
 }
 
 #[cfg(test)]

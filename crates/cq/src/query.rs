@@ -179,44 +179,39 @@ impl ConjunctiveQuery {
         if tuple.len() != self.head.len() {
             return None;
         }
-        // Positional head bindings in a tiny association list: heads are
-        // short, and the substitution machinery would allocate owned names
-        // and term clones per probe on the compilation hot path. Body
-        // variables outside the head (non-projection-free queries) are left
-        // unchanged, exactly as an under-defined substitution would.
-        let mut binds: Vec<(&str, &Term)> = Vec::with_capacity(self.head.len());
+        // A variable's image is the tuple component at the first head
+        // position that holds it: heads are short, and the substitution
+        // machinery would allocate owned names and term clones per probe on
+        // the compilation hot path. Body variables outside the head
+        // (non-projection-free queries) are left unchanged, exactly as an
+        // under-defined substitution would.
+        let image = |v: &str| {
+            let position = self.head.iter().position(|h| h.as_var() == Some(v))?;
+            Some(&tuple[position])
+        };
         for (pattern, target) in self.head.iter().zip(&tuple) {
-            match pattern.as_var() {
-                Some(v) => match binds.iter().find(|(bound, _)| *bound == v) {
-                    Some((_, existing)) if *existing != target => return None,
-                    Some(_) => {}
-                    None => binds.push((v, target)),
-                },
-                None => {
-                    if pattern != target {
-                        return None;
-                    }
-                }
+            let expected = match pattern.as_var() {
+                Some(v) => image(v).expect("a head variable is in the head"),
+                None => pattern,
+            };
+            if expected != target {
+                return None;
             }
         }
         // Unification succeeded, so the grounded head is the tuple itself;
         // multiplicities of body atoms that collapse under the grounding
         // accumulate in ConjunctiveQuery::new (Equation 1).
-        let subst = |t: &Term| match t.as_var() {
-            Some(v) => binds
-                .iter()
-                .find(|(b, _)| *b == v)
-                .map_or_else(|| t.clone(), |(_, img)| (*img).clone()),
+        let subst = |t: &Term| match t.as_var().and_then(image) {
+            Some(img) => img.clone(),
             None => t.clone(),
         };
-        let body: Vec<(Atom, u64)> = self
-            .body
-            .iter()
-            .map(|(atom, &mult)| {
-                (Atom::new(atom.relation(), atom.terms().iter().map(&subst).collect()), mult)
-            })
-            .collect();
-        Some(ConjunctiveQuery::new(self.name.clone(), tuple, body))
+        let body = self.body.iter().map(|(atom, &mult)| {
+            (Atom::new(atom.relation(), atom.terms().iter().map(&subst).collect()), mult)
+        });
+        // The body borrows the tuple's terms, so the tuple moves in last.
+        let mut grounded = ConjunctiveQuery::new(self.name.clone(), Vec::new(), body);
+        grounded.head = tuple;
+        Some(grounded)
     }
 
     /// The *most-general grounding* `q(t*)`: every head variable is replaced

@@ -361,7 +361,7 @@ impl<'a> Scheduler<'a> {
                 progress.remaining == 0
             };
             if finished {
-                self.finalize(&task, sink);
+                self.finalize(&task, decider, sink);
             }
             current = Some(task);
         }
@@ -398,10 +398,12 @@ impl<'a> Scheduler<'a> {
             let unit_start = dioph_obs::phase::timing_enabled().then(Instant::now);
             let outcome = match task.kind {
                 UnitKind::MostGeneral => decider.decide_most_general_in(&task.pair, scratch),
-                UnitKind::ProbeSpace if index < raw_len => match task.pair.probe(index) {
-                    Some(compiled) => decider.decide_probe_rung_in(compiled, scratch),
-                    None => continue,
-                },
+                UnitKind::ProbeSpace if index < raw_len => {
+                    match decider.decide_probe_at(&task.pair, index, scratch) {
+                        Some(outcome) => outcome,
+                        None => continue,
+                    }
+                }
                 UnitKind::ProbeSpace => continue, // the degenerate no-op unit
             };
             decided += 1;
@@ -431,6 +433,7 @@ impl<'a> Scheduler<'a> {
     fn finalize(
         &self,
         task: &PairTask<'a>,
+        decider: &BagContainmentDecider,
         sink: &impl Fn(u64, Result<BagContainment, ContainmentError>),
     ) {
         let (event, checked, hardest) = {
@@ -439,13 +442,14 @@ impl<'a> Scheduler<'a> {
         };
         let (result, rung) = match event {
             Some((index, ProbeEvent::Witness(assignment, rung))) => {
-                let compiled = match task.kind {
-                    UnitKind::MostGeneral => task.pair.most_general(),
+                let ce = match task.kind {
+                    UnitKind::MostGeneral => {
+                        task.pair.counterexample(task.pair.most_general(), &assignment)
+                    }
                     UnitKind::ProbeSpace => {
-                        task.pair.probe(index).expect("the winning event came from a probe")
+                        decider.counterexample_at(&task.pair, index, &assignment)
                     }
                 };
-                let ce = task.pair.counterexample(compiled, &assignment);
                 (Ok(BagContainment::NotContained(Box::new(ce))), rung)
             }
             Some((_, ProbeEvent::Error(error))) => (Err(error), None),

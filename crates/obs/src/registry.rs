@@ -185,7 +185,7 @@ pub static CACHE_PROBE_COMPILED: Counter = Counter::new(
     "cache.probe.compiled",
     Vol,
     C,
-    "cold CompiledProbe builds (memoised probe slots count only their first fill)",
+    "cold probe compilations (memoised probe slots count only their first fill)",
 );
 /// Verdicts decided by a dominating containment mapping.
 pub static CONTAINMENT_DECIDED_BY_DOMINANCE: Counter = Counter::new(

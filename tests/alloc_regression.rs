@@ -9,6 +9,10 @@
 //! bound; a regression that reintroduces per-probe heap traffic fails here
 //! long before it shows up in bench numbers.
 //!
+//! A cold decision of the same pair is bounded too: allocations per probe
+//! while the memo fills, and the bytes the filled memo keeps alive, which
+//! the allocator tracks as a per-thread live-byte balance.
+//!
 //! The E4 probes never reach the LP kernel (each system short-circuits on
 //! a zero row), so a second case drives the kernel itself: a warmed
 //! [`LpScratch`] deciding star systems through their Gordan dual may
@@ -27,12 +31,28 @@ use diophantus::workloads::suite::path_self_containment;
 thread_local! {
     /// Allocations made by the current thread.
     static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes the current thread allocated minus the bytes it freed: on a
+    /// single-threaded run, the heap that run left alive.
+    static THREAD_LIVE_BYTES: Cell<isize> = const { Cell::new(0) };
 }
 
-/// Bumps both the registry cell and the calling thread's own count.
-fn count_alloc() {
+/// Bumps both the registry cell and the calling thread's own count, and
+/// moves the thread's live-byte balance by `bytes`.
+fn count_alloc(bytes: isize) {
     diophantus::obs::registry::ALLOC_HEAP_ALLOCS.incr();
     let _ = THREAD_ALLOCS.try_with(|n| n.set(n.get() + 1));
+    count_live(bytes);
+}
+
+/// Moves the calling thread's live-byte balance by `bytes`.
+fn count_live(bytes: isize) {
+    let _ = THREAD_LIVE_BYTES.try_with(|n| n.set(n.get() + bytes));
+}
+
+/// The byte count of `size` as a balance change (a `Layout` size never
+/// exceeds `isize::MAX`).
+fn bytes(size: usize) -> isize {
+    size as isize
 }
 
 /// Serialises the cases of this binary.
@@ -43,29 +63,30 @@ fn serial() -> MutexGuard<'static, ()> {
 
 /// Delegates to the system allocator, counting allocations into the
 /// `dioph-obs` registry (mirrors the allocator installed by the
-/// `diophantus` binary) and per thread.
+/// `diophantus` binary) and per thread, and balancing live bytes.
 struct CountingAllocator;
 
 // SAFETY: every method delegates directly to `System`, which upholds the
 // `GlobalAlloc` contract; the registry bump and the const-initialised
-// thread-local count neither allocate nor panic.
+// thread-local counts neither allocate nor panic.
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(bytes(layout.size()));
         System.alloc(layout)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_live(-bytes(layout.size()));
         System.dealloc(ptr, layout);
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc();
+        count_alloc(bytes(layout.size()));
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc();
+        count_alloc(bytes(new_size) - bytes(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -108,6 +129,30 @@ fn warm_probe_loop_stays_under_the_allocation_bound() {
     // The scratch actually served the loop: all but the first probe of the
     // pair reused warmed buffers.
     assert_eq!(delta.get("alloc.scratch.reuses"), Some(3124));
+}
+
+#[test]
+fn cold_all_probes_decision_stays_under_the_allocation_and_retention_bounds() {
+    let _serial = serial();
+    // The same 3125-probe path pair, decided once on a fresh pair: every
+    // probe is compiled, and every one has a dominating mapping.
+    let (containee, containing) = path_self_containment(4);
+    let pair = CompiledPair::new(containee, containing).expect("the path pair is decidable");
+    let decider = BagContainmentDecider::new(Algorithm::AllProbes);
+
+    let (allocs, live) = (THREAD_ALLOCS.with(Cell::get), THREAD_LIVE_BYTES.with(Cell::get));
+    let verdict = decider.decide_pair(&pair).expect("decidable");
+    let allocs = THREAD_ALLOCS.with(Cell::get) - allocs;
+    let retained = THREAD_LIVE_BYTES.with(Cell::get) - live;
+
+    assert!(verdict.holds(), "the path pair is contained by construction");
+    // Grounding, the mapping search set-up and the probe tuple take about
+    // 31 allocations per probe; a full MPI kept per probe took 52.
+    let per_probe = allocs as f64 / 3125.0;
+    assert!(per_probe <= 42.0, "cold allocation regression: {per_probe:.1}/probe");
+    // A dominated probe keeps one memo slot, not its grounded query and MPI
+    // (about 7 MiB for this pair when each probe kept its full compilation).
+    assert!(retained <= 128 * 1024, "the decided pair retains {retained} bytes");
 }
 
 /// The Theorem 4.1 system of a Boolean unary star pair, the shape of the

@@ -15,16 +15,22 @@
 //! * the differential fuzzing oracle finds no disagreement on generated
 //!   pairs, with identical outcomes across LP routes and thread counts;
 //! * every compiled probe's MPI evaluates to the Equation-2 multiplicities
-//!   that `dioph-bagdb`'s separate homomorphism search computes.
+//!   that `dioph-bagdb`'s separate homomorphism search computes;
+//! * the all-probes early-stop memo agrees with the full compilation of
+//!   every probe, and deciding from it gives the verdicts of deciding every
+//!   full compilation.
 
+use diophantus::containment::{CompiledPair, EarlyStop, Rung};
 use diophantus::fuzz::{check_pair, generate_case, FuzzConfig};
 use diophantus::workloads::random::{
     inflated_pair, random_projection_free_cq, specialization_pair,
 };
+use diophantus::workloads::suite::{generate_pairs, WorkloadKind};
 use diophantus::workloads::threecol::three_colorable_via_containment;
 use diophantus::workloads::{refute_by_random_bags, Graph, QueryShape, RefutationConfig};
 use diophantus::{
-    set_containment, Algorithm, BagContainmentDecider, ConjunctiveQuery, FeasibilityEngine,
+    set_containment, Algorithm, BagContainment, BagContainmentDecider, ConjunctiveQuery,
+    DecisionEngine, EngineConfig, FeasibilityEngine,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -71,6 +77,90 @@ fn unanimous_verdict(containee: &ConjunctiveQuery, containing: &ConjunctiveQuery
         assert_eq!(*verdict, first, "decider {name} disagrees on {containee} vs {containing}");
     }
     first
+}
+
+/// The all-probes route before the early-stop memo: every probe compiled
+/// in full through [`CompiledPair::probe`] and decided, in raw-index order.
+fn decide_every_probe_in_full(pair: &CompiledPair) -> BagContainment {
+    let decider = BagContainmentDecider::new(Algorithm::AllProbes);
+    let mut checked = 0;
+    for index in 0..pair.probe_space().raw_len() {
+        let Some(probe) = pair.probe(index) else { continue };
+        checked += 1;
+        if let Some(assignment) = decider.decide_probe(probe).expect("the LP decides") {
+            let ce = pair.counterexample(probe, &assignment);
+            return BagContainment::NotContained(Box::new(ce));
+        }
+    }
+    BagContainment::Contained { probes_checked: checked }
+}
+
+/// At every raw index the early-stop memo is not-a-probe iff the full
+/// compilation is, `Dominated` iff the full probe's rung is dominance, and
+/// otherwise the full probe itself. All-probes verdicts from the memo, at 1
+/// and 2 jobs, equal deciding every full compilation: verdict,
+/// counterexample and `probes_checked`. Returns how many probes the memo
+/// held as dominated and as compiled.
+fn assert_memo_matches_full_compilation(
+    containee: &ConjunctiveQuery,
+    containing: &ConjunctiveQuery,
+) -> (usize, usize) {
+    let pair = CompiledPair::new(containee.clone(), containing.clone()).expect("in the fragment");
+    let (mut dominated, mut compiled) = (0, 0);
+    for index in 0..pair.probe_space().raw_len() {
+        match (pair.probe_rung(index), pair.probe(index)) {
+            (None, None) => {}
+            (Some(EarlyStop::Dominated), Some(full)) => {
+                assert_eq!(full.rung(), Rung::Dominance, "{containee} vs {containing} at {index}");
+                dominated += 1;
+            }
+            (Some(EarlyStop::Compiled(early)), Some(full)) => {
+                assert_eq!(early, full, "{containee} vs {containing} at {index}");
+                assert_ne!(full.rung(), Rung::Dominance, "{containee} vs {containing} at {index}");
+                compiled += 1;
+            }
+            (early, full) => panic!(
+                "{containee} vs {containing} at {index}: memo {early:?}, full {:?}",
+                full.map(diophantus::containment::CompiledProbe::probe)
+            ),
+        }
+    }
+    let reference = decide_every_probe_in_full(&pair);
+    for jobs in [1, 2] {
+        let engine = DecisionEngine::new(EngineConfig {
+            jobs,
+            algorithm: Algorithm::AllProbes,
+            ..EngineConfig::default()
+        });
+        let fresh =
+            CompiledPair::new(containee.clone(), containing.clone()).expect("in the fragment");
+        let verdict = engine.decide_pair(&fresh).expect("the LP decides");
+        assert_eq!(verdict, reference, "jobs={jobs}: {containee} vs {containing}");
+    }
+    (dominated, compiled)
+}
+
+#[test]
+fn early_stop_memo_matches_full_compilation_on_the_suite_kinds() {
+    let (mut dominated, mut compiled) = (0, 0);
+    for kind in [
+        WorkloadKind::Specialization { atoms: 4 },
+        WorkloadKind::Inflated { atoms: 4 },
+        WorkloadKind::Contained { atoms: 4 },
+        WorkloadKind::Path { length: 2 },
+        WorkloadKind::ExponentialMapping { mappings_log2: 1 },
+        WorkloadKind::ThreeColorability { vertices: 4 },
+        WorkloadKind::Chain { length: 3 },
+        WorkloadKind::Star { rays: 3 },
+        WorkloadKind::Clique { vertices: 3 },
+    ] {
+        for pair in generate_pairs(kind, 3, 2019) {
+            let (d, c) = assert_memo_matches_full_compilation(&pair.containee, &pair.containing);
+            (dominated, compiled) = (dominated + d, compiled + c);
+        }
+    }
+    // Both kinds of memo entry are exercised.
+    assert!(dominated > 0 && compiled > 0, "{dominated} dominated, {compiled} compiled");
 }
 
 proptest! {
@@ -217,6 +307,22 @@ proptest! {
                     );
                 }
             }
+        }
+    }
+
+    /// The early-stop memo against the full compilation on random and
+    /// specialised pairs (see [`assert_memo_matches_full_compilation`]).
+    #[test]
+    fn early_stop_memo_matches_full_compilation(seed in 0u64..10_000) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let shape = small_shape();
+        let random = (
+            random_projection_free_cq("q_containee", &shape, &mut rng),
+            random_projection_free_cq("q_containing", &shape, &mut rng),
+        );
+        let specialised = specialization_pair(&shape, &mut rng);
+        for (containee, containing) in [random, specialised] {
+            let _ = assert_memo_matches_full_compilation(&containee, &containing);
         }
     }
 
